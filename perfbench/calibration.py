@@ -1,16 +1,23 @@
-"""The machine-speed probe that times are scaled by.
+"""The machine-speed probes that times are scaled by.
 
 On a shared host the speed of one core drifts by up to 2x within minutes,
 as other tenants load it, and the drift moves every timing of a run
-together. The benchmark therefore times this fixed kernel right before
-every command (and in every set-up interpreter) and scales each time by
-NOMINAL_S over the kernel's median time near that command. A change to the
-program leaves the kernel alone, so it moves the scaled time one for one.
+together. The benchmark therefore times fixed kernels between commands (and
+in every set-up interpreter) and scales each time by a nominal kernel time
+over the kernel's median time near that command. A change to the program
+leaves the kernels alone, so it moves the scaled time one for one.
 
-Interpreted Python slows more under load than a BLAS solve does (measured
-log-slope 0.64 of a dense solve against pure Python), so the kernel is half
-of each: floats in lists and tuples with ``.17g`` formatting, and a dense
-solve. Its slowdown falls between those of the two workloads' own work.
+Work of different kinds slows by different amounts under the same load, so
+there are two kernels, and each scales the work it resembles:
+
+- ``interp`` scales everything but dense solves. It is floats in lists and
+  tuples with ``.17g`` formatting, plus a small dense solve, because the
+  program's own interpreted work mixes Python with small numpy calls and
+  slows less than pure Python does.
+- ``dense`` scales the time spent inside ``numpy.linalg.solve``. It is a
+  dense 500 x 500 solve. Large dense solves slow far less than interpreted
+  work: under the same load, an N = 1000 solve slowed by 1.40x while the
+  Python half of ``interp`` slowed by 1.68x.
 """
 
 from __future__ import annotations
@@ -19,26 +26,31 @@ from time import perf_counter
 
 import numpy as np
 
-# Kernel time, in seconds, at the speed the scaled figures refer to: about
-# its time on the 2-vCPU Xeon host the reference figures come from when that
-# host is quiet (over 15,099 probes of a loaded period: minimum 2.34 ms,
-# 5th percentile 2.65 ms, median 4.21 ms).
-NOMINAL_S = 2.5e-3
-REPEATS = 1
+# Kernel times, in seconds, at the speed the scaled figures refer to: about
+# their times on the 2-vCPU Xeon host the reference figures come from when
+# that host is quiet.
+NOMINAL_S = {"interp": 2.5e-3, "dense": 5.0e-3}
 
-_N = 300
-_MATRIX = np.diag(np.linspace(1.0, 2.0, _N)) + 0.01 * np.ones((_N, _N))
-_RHS = np.linspace(0.0, 1.0, _N)
+_SMALL = np.diag(np.linspace(1.0, 2.0, 300)) + 0.01 * np.ones((300, 300))
+_LARGE = np.diag(np.linspace(1.0, 2.0, 500)) + 0.01 * np.ones((500, 500))
 
 
-def kernel() -> None:
+def _interp() -> None:
     pairs = [(i * 0.001, i * 0.001 + 1.0) for i in range(3000)]
     ",".join(format(a * b, ".17g") for a, b in pairs[:800])
-    np.linalg.solve(_MATRIX, _RHS)
+    np.linalg.solve(_SMALL, _SMALL[0])
 
 
-def probe(repeats: int = REPEATS) -> list[tuple[float, float]]:
-    """(midpoint, seconds) of ``repeats`` consecutive kernel runs."""
+def _dense() -> None:
+    np.linalg.solve(_LARGE, _LARGE[0])
+
+
+KERNELS = {"interp": _interp, "dense": _dense}
+
+
+def probe(kind: str, repeats: int = 1) -> list[tuple[float, float]]:
+    """(midpoint, seconds) of ``repeats`` consecutive runs of one kernel."""
+    kernel = KERNELS[kind]
     out = []
     for _ in range(repeats):
         t0 = perf_counter()

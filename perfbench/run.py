@@ -12,8 +12,10 @@ single closed-loop caller: each command starts when the previous one has
 returned. A pass runs every command of the workload once. The first pass is
 a discarded warm-up; passes then repeat until --seconds have elapsed (at
 least MIN_PASSES). Every time is scaled to nominal machine speed by the
-probe in calibration.py, and a family's time is the sum over its commands
-of each command's median scaled time over the measured passes. Every
+probes in calibration.py: the time spent inside ``numpy.linalg.solve`` by
+the dense-solve probe, the rest by the interpreted-work probe. A family's
+time is the sum over its commands of each command's median scaled time
+over the measured passes. Every
 command's output is checked against closed forms computed from the
 generated data (see workloads.py); a command that exits non-zero or whose
 output fails a check counts as failed.
@@ -61,6 +63,7 @@ FAMILIES = ("solve", "simulate", "experiment")
 MIN_PASSES = 3
 SETUP_SAMPLES = 9
 SPEED_WINDOW_S = 2.5  # probes this close to a command's span set its scale
+DENSE_EVERY_S = 0.25  # the dense probe is slower, so it runs at most this often
 
 # Timed inside the child, so interpreter start-up noise is left out and the
 # figure is what the package costs a CLI invocation before its first command.
@@ -77,7 +80,7 @@ for path in sys.argv[3:]:
 elapsed = time.perf_counter() - t0
 sys.path.insert(0, sys.argv[2])
 import calibration, statistics
-print(elapsed, statistics.median(s for _, s in calibration.probe(9)))
+print(elapsed, statistics.median(s for _, s in calibration.probe("interp", 9)))
 """
 
 
@@ -102,16 +105,43 @@ def setup_seconds(files) -> float:
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
                               timeout=120, check=True)
         elapsed, probe = map(float, proc.stdout.split())
-        samples.append(elapsed * calibration.NOMINAL_S / probe)
+        samples.append(elapsed * calibration.NOMINAL_S["interp"] / probe)
     return statistics.median(samples[1:])
+
+
+class DenseClock:
+    """Seconds spent inside ``numpy.linalg.solve``, which the program's
+    method-of-multipliers step calls on a dense N x N system."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        solve = np.linalg.solve
+
+        def timed(*args, **kwargs):
+            t0 = perf_counter()
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                self.seconds += perf_counter() - t0
+
+        np.linalg.solve = timed
+
+
+DENSE = DenseClock()
+
+
+@dataclass
+class Timing:
+    start: float
+    seconds: float
+    dense: float  # the part of ``seconds`` spent in dense solves
 
 
 @dataclass
 class Outcome:
     command: workloads.Command
     exit_code: int | None
-    start: float
-    seconds: float
+    timing: Timing
     stdout: str
     stderr: str
 
@@ -120,30 +150,36 @@ class Speed:
     """Probe samples over the run, to scale command times to nominal speed."""
 
     def __init__(self):
-        self.samples: list[tuple[float, float]] = []
+        self.samples = {kind: [] for kind in calibration.KERNELS}
 
     def probe(self) -> None:
-        self.samples += calibration.probe()
+        self.samples["interp"] += calibration.probe("interp")
+        dense = self.samples["dense"]
+        if not dense or perf_counter() - dense[-1][0] >= DENSE_EVERY_S:
+            dense += calibration.probe("dense")
 
-    def scaled(self, outcomes) -> list[float]:
-        """Each time times NOMINAL_S over the median probe near its command."""
-        mid, dur = np.array(self.samples).T
-        out = []
-        for o in outcomes:
-            reach = SPEED_WINDOW_S + 0.5 * o.seconds
-            near = np.abs(mid - (o.start + 0.5 * o.seconds)) <= reach
-            out.append(o.seconds * calibration.NOMINAL_S / float(np.median(dur[near])))
-        return out
+    def _factor(self, kind: str, t: Timing) -> float:
+        """NOMINAL_S over the median probe of this kind near the command."""
+        mid, dur = np.array(self.samples[kind]).T
+        near = np.abs(mid - (t.start + 0.5 * t.seconds)) <= SPEED_WINDOW_S + 0.5 * t.seconds
+        return calibration.NOMINAL_S[kind] / float(np.median(dur[near]))
+
+    def scaled(self, timings) -> list[float]:
+        return [(t.seconds - t.dense) * self._factor("interp", t)
+                + t.dense * self._factor("dense", t) for t in timings]
 
 
 def run_pass(cli, commands, speed: Speed, tracer=None, first_id=0) -> list[Outcome]:
     outcomes = []
     for i, cmd in enumerate(commands):
+        if cmd.csv is not None:
+            cmd.csv.unlink(missing_ok=True)  # the check must read this command's file
         speed.probe()
         if tracer is not None:
             tracer.command_id = first_id + i
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            dense0 = DENSE.seconds
             t0 = perf_counter()
             try:
                 code = cli.run_command(cmd.argv)
@@ -151,7 +187,8 @@ def run_pass(cli, commands, speed: Speed, tracer=None, first_id=0) -> list[Outco
                 code = None
                 print(f"uncaught {e!r}", file=err)
             seconds = perf_counter() - t0
-        outcomes.append(Outcome(cmd, code, t0, seconds, out.getvalue(), err.getvalue()))
+        timing = Timing(t0, seconds, DENSE.seconds - dense0)
+        outcomes.append(Outcome(cmd, code, timing, out.getvalue(), err.getvalue()))
     speed.probe()
     return outcomes
 
@@ -182,7 +219,7 @@ def problems(outcome: Outcome, payload) -> tuple[list[str], bool]:
     try:
         found = cmd.check(payload)
         if cmd.csv is not None:
-            found += cmd.csv_check(payload, cmd.csv.read_text(encoding="utf-8"))
+            found += cmd.csv_check(payload, cmd.csv)
     except (KeyError, TypeError, ValueError, IndexError, OSError) as e:
         found = [f"malformed output: {e!r}"]
     return found, bool(found)
@@ -215,6 +252,10 @@ def family_seconds(commands, passes) -> dict[str, float]:
     return sums
 
 
+def _mean(values) -> float:
+    return float(np.mean(values)) if values else 0.0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=tuple(workloads.WORKLOADS))
@@ -233,26 +274,31 @@ def main(argv=None) -> int:
     speed = Speed()
     tracer = tracing.Tracer(program) if args.trace else None
     n = len(wl.commands)
-    runs = {"plain": [], "traced": []}  # outcomes of each measured pass
+    runs = {"plain": [], "traced": []}  # timings of each measured pass
     passes = 0
+    payloads: list = []  # the last pass's outputs
 
-    def one_pass(mode: str = "plain") -> list[Outcome]:
-        nonlocal passes
+    def one_pass(mode: str = "plain") -> list[Timing]:
+        nonlocal passes, payloads
         gc.collect()
-        if mode != "plain":
-            tracer.install(counting=mode == "counted")
+        if mode == "traced":
+            tracer.install()
+        elif mode == "counted":
+            tracer.install(memory=[c.csv is not None for c in wl.commands])
         try:
             outcomes = run_pass(program.cli, wl.commands, speed,
-                                tracer if mode == "traced" else None, passes * n)
+                                None if mode == "plain" else tracer, passes * n)
         finally:
             if mode != "plain":
                 tracer.remove()
         passes += 1
-        tally.add(outcomes, parse_outputs(outcomes))
-        raw = family_seconds(wl.commands, [[o.seconds for o in outcomes]])
+        payloads = parse_outputs(outcomes)
+        tally.add(outcomes, payloads)
+        timings = [o.timing for o in outcomes]  # the outputs are checked; keep only times
+        raw = family_seconds(wl.commands, [[t.seconds for t in timings]])
         print(f"pass {passes} {mode} (unscaled): "
               + ", ".join(f"{k} {v:.4f} s" for k, v in raw.items()), file=sys.stderr)
-        return outcomes
+        return timings
 
     one_pass()  # warm-up: caches and lazy imports settle
     t0 = perf_counter()
@@ -266,7 +312,8 @@ def main(argv=None) -> int:
     scaled = {mode: [speed.scaled(p) for p in ps] for mode, ps in runs.items()}
     (outdir / "times.json").write_text(json.dumps({
         "argv": [c.argv for c in wl.commands],
-        "seconds": {mode: [[o.seconds for o in p] for p in ps] for mode, ps in runs.items()},
+        "seconds": {mode: [[t.seconds for t in p] for p in ps] for mode, ps in runs.items()},
+        "dense": {mode: [[t.dense for t in p] for p in ps] for mode, ps in runs.items()},
         "scaled": scaled,
         "probe": speed.samples,
     }), encoding="utf-8")
@@ -280,6 +327,10 @@ def main(argv=None) -> int:
     else:
         tracer.write(outdir / "spans.npz")
         layer = tracer.layer_metrics([not c.reduced for c in wl.commands])
+        sims = [(c, p) for c, p in zip(wl.commands, payloads)
+                if c.csv is not None and p is not None]
+        layer["cli.write_trace_csv.mb"] = _mean([1e-6 * c.csv.stat().st_size for c, _ in sims])
+        layer["dynamics.simulate.samples"] = _mean([p["samples"] for _, p in sims])
         plain_total = sum(family_seconds(wl.commands, scaled["plain"]).values())
         traced_total = sum(family_seconds(wl.commands, scaled["traced"]).values())
         layer["trace.overhead_pct"] = 100.0 * (traced_total / plain_total - 1.0)

@@ -6,15 +6,18 @@ start, end, parent span and command id. ``cli`` and ``experiments`` import
 names directly, so patching only the defining module would miss their calls.
 Functions in COUNTED are called so often that a wrapper per call would
 swamp the spans of their callers; their exact call counts are taken in a
-pass of their own, whose times are not used. Spans are kept in compact
+pass of their own, whose times are not used. The same pass measures, with
+``tracemalloc``, the peak memory that ``dynamics.simulate`` allocates in the
+commands chosen for it; tracing allocations slows the call several times,
+so it is limited to that pass and those commands. Spans are kept in compact
 in-memory columns and written out once, when the run ends.
 """
 
 from __future__ import annotations
 
-import sys
+import tracemalloc
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
@@ -31,6 +34,7 @@ SPANS = {
                     "verify_steady_state_optimality"),
 }
 COUNTED = {"model": ("integral_gain",)}
+MEMORY = {"dynamics": ("simulate",)}
 
 # name -> (unit, better); the order is the order of the printed metrics
 LAYER_METRICS = {
@@ -62,15 +66,6 @@ LAYER_METRICS = {
 }
 
 
-def _trace_bytes(trace) -> int:
-    """Computed in-memory size of a SimulationTrace's samples (one sample times the count)."""
-    samples = trace.samples
-    first = samples[0]
-    per_sample = (sys.getsizeof(first) + sys.getsizeof(getattr(first, "__dict__", ()))
-                  + sys.getsizeof(first.p) + sys.getsizeof(0.0) * (len(first.p) + 2))
-    return sys.getsizeof(samples) + per_sample * len(samples)
-
-
 class Tracer:
     """Span and count store; ``install`` patches the program, ``remove`` restores it."""
 
@@ -87,7 +82,8 @@ class Tracer:
         self.command_id = -1
         self.counts: Counter = Counter()
         self.count_passes = 0
-        self.values: dict[str, list[tuple[int, float]]] = defaultdict(list)
+        self.peaks: list[int] = []  # bytes, one per measured call
+        self.memory_commands: list[bool] = []
         self._patched: list[tuple[object, str, object]] = []
 
     # -- wrappers ---------------------------------------------------------
@@ -98,9 +94,6 @@ class Tracer:
         nid = self.names.index(label)
         name, command, parent = self.name, self.command, self.parent
         start, end, stack = self.start, self.end, self.stack
-        values = self.values
-        is_csv = label == "cli.write_trace_csv"
-        is_simulate = label == "dynamics.simulate"
 
         def wrapper(*args, **kwargs):
             idx = len(start)
@@ -110,7 +103,6 @@ class Tracer:
             start.append(0.0)
             end.append(0.0)
             stack.append(idx)
-            before = args[1].tell() if is_csv else 0  # args: (trace, sink)
             t0 = perf_counter()
             try:
                 result = fn(*args, **kwargs)
@@ -118,12 +110,6 @@ class Tracer:
                 end[idx] = perf_counter()
                 start[idx] = t0
                 stack.pop()
-            if is_simulate:
-                values["dynamics.simulate.samples"].append((self.command_id, len(result.samples)))
-                values["dynamics.trace_bytes"].append((self.command_id, _trace_bytes(result)))
-            elif is_csv:
-                values["cli.write_trace_csv.bytes"].append((self.command_id,
-                                                            args[1].tell() - before))
             return result
 
         return wrapper
@@ -137,10 +123,34 @@ class Tracer:
 
         return wrapper
 
-    def install(self, counting: bool) -> None:
-        """Wrap the SPANS functions, or with ``counting`` the COUNTED ones."""
-        table, make = (COUNTED, self._counter) if counting else (SPANS, self._span)
-        self.count_passes += counting
+    def _memory(self, label, fn):
+        peaks, marked = self.peaks, self.memory_commands
+
+        def wrapper(*args, **kwargs):
+            if not marked[self.command_id % len(marked)] or tracemalloc.is_tracing():
+                return fn(*args, **kwargs)
+            tracemalloc.start()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        return wrapper
+
+    def install(self, memory: list[bool] | None = None) -> None:
+        """Wrap the SPANS functions. Given ``memory``, a mask over a pass's
+        commands, instead count the COUNTED functions and measure MEMORY's
+        peak allocation in the marked commands."""
+        if memory is None:
+            self._patch(SPANS, self._span)
+            return
+        self.count_passes += 1
+        self.memory_commands[:] = memory
+        self._patch(COUNTED, self._counter)
+        self._patch(MEMORY, self._memory)
+
+    def _patch(self, table, make) -> None:
         for module, funcs in table.items():
             for func in funcs:
                 original = getattr(getattr(self.package, module), func)
@@ -175,6 +185,8 @@ class Tracer:
         the per-call figures describe; a function that those commands never
         call is measured on the commands that do call it. Call counts per
         counting pass cover every command. A function never called reads 0.
+        The figures that come from the commands' outputs (simulate samples,
+        CSV size) are added by the caller.
         """
         focus = np.asarray(focus, dtype=bool)
         col = self.columns()
@@ -203,18 +215,11 @@ class Tracer:
             child = np.isin(name, [ids[c] for c in child_labels]) & np.isin(parent, parents)
             return int(child.sum()) / parents.size
 
-        def mean_value(key, scale=1.0):
-            pairs = self.values.get(key, [])
-            focused = [v for c, v in pairs if focus[c % focus.size]]
-            vals = focused or [v for _, v in pairs]
-            return float(np.mean(vals)) * scale if vals else 0.0
-
         steps = ("dynamics.step_rk4", "dynamics.step_euler")
         return {
             "cli.run_command.self_ms": 1e3 * mean(self_time, "cli.run_command"),
             "cli.parse_scenario_file.ms": 1e3 * mean(dur, "cli.parse_scenario_file"),
             "cli.write_trace_csv.s": mean(dur, "cli.write_trace_csv"),
-            "cli.write_trace_csv.mb": mean_value("cli.write_trace_csv.bytes", 1e-6),
             "model.validate_scenario.ms": 1e3 * mean(dur, "model.validate_scenario"),
             "model.integral_gain.calls": self.counts["model.integral_gain"] / self.count_passes,
             "dispatch.analytic_dispatch.ms": 1e3 * mean(dur, "dispatch.analytic_dispatch"),
@@ -230,10 +235,9 @@ class Tracer:
             "dynamics.pi_rhs.us": 1e6 * mean(dur, "dynamics.pi_rhs"),
             "dynamics.rhs_calls_per_step": children_per_call(
                 ["dynamics.integral_rhs", "dynamics.pi_rhs"], steps),
-            "dynamics.simulate.samples": mean_value("dynamics.simulate.samples"),
             "dynamics.step_euler.us": 1e6 * mean(dur, "dynamics.step_euler"),
             "dynamics.settling_time.ms": 1e3 * mean(dur, "dynamics.settling_time"),
-            "dynamics.trace_mb": mean_value("dynamics.trace_bytes", 1e-6),
+            "dynamics.trace_mb": 1e-6 * float(np.mean(self.peaks)) if self.peaks else 0.0,
             "experiments.sweep.self_s": mean(self_time, "experiments.sweep"),
             "experiments.compare_convergence.s": mean(dur, "experiments.compare_convergence"),
             "experiments.check_euler_equivalence.s":

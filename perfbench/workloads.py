@@ -83,7 +83,7 @@ class Command:
     argv: list[str]
     check: Callable[[dict], list[str]]
     csv: Path | None = None
-    csv_check: Callable[[dict, str], list[str]] | None = None
+    csv_check: Callable[[dict, Path], list[str]] | None = None
     reduced: bool = False  # runs on fleet-1000's three-area equivalent
 
 
@@ -219,15 +219,20 @@ def check_simulate(case: Case, controller: str) -> tuple[Callable, Callable]:
             errs.append(f"settling time {ts!r}, closed form {settle!r} (h = {h})")
         return errs
 
-    def csv_check(out: dict, text: str) -> list[str]:
-        lines = text.splitlines()
+    def csv_check(out: dict, path: Path) -> list[str]:
+        # streamed, so the check holds one row at a time, not the whole file
+        rows = bad = 0
+        last = ""
+        with path.open(encoding="utf-8") as fh:
+            for last in fh:
+                rows += 1
+                bad += last.count(",") != 2 * n + 1
         errs = []
-        if len(lines) != out["samples"] + 1:
-            errs.append(f"CSV has {len(lines)} rows, expected {out['samples'] + 1}")
-        bad = sum(1 for line in lines if line.count(",") != 2 * n + 1)
+        if rows != out["samples"] + 1:
+            errs.append(f"CSV has {rows} rows, expected {out['samples'] + 1}")
         if bad:
             errs.append(f"{bad} CSV rows without {2 * n + 2} columns")
-        last = lines[-1].split(",")
+        last = last.split(",")
         if float(last[0]) != out["final_t"] or \
                 [float(x) for x in last[1:n + 1]] != out["final_p"]:
             errs.append("last CSV row does not parse back to final_t/final_p")
