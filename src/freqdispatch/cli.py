@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or I/O error, 2 scenario validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -139,6 +140,12 @@ def _string(value, path) -> str:
     return value
 
 
+def _require_finite(path, **values) -> None:
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ScenarioFileError(_join(path, name), "must be finite")
+
+
 def _array(value, path) -> list:
     if not isinstance(value, list):
         raise ScenarioFileError(path, "expected an array")
@@ -188,6 +195,7 @@ def _parse_solver(obj, path) -> SolverOptions:
         max_iter=_integer(obj.get("max_iter", 10000), _join(path, "max_iter")),
         lambda0=_number(obj["lambda0"], _join(path, "lambda0")) if "lambda0" in obj else None,
     )
+    _require_finite(path, alpha=opts.alpha, rho=opts.rho, tol=opts.tol, lambda0=opts.lambda0)
     if opts.alpha is not None and opts.alpha <= 0:
         raise ScenarioFileError(_join(path, "alpha"), "must be > 0")
     if opts.rho is not None and opts.rho <= 0:
@@ -210,6 +218,7 @@ def _parse_simulation(obj, path, n_loads: int) -> SimulationOptions:
                                 f"must be 'integral' or 'pi', got {raw_kind!r}")
     h = _number(obj["h"], _join(path, "h")) if "h" in obj else None
     t_end = _number(obj["t_end"], _join(path, "t_end")) if "t_end" in obj else None
+    _require_finite(path, h=h, t_end=t_end)
     if h is not None and h <= 0:
         raise ScenarioFileError(_join(path, "h"), "must be > 0")
     if t_end is not None and t_end <= 0:
@@ -378,15 +387,13 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, (StopReason, ControllerKind, EquivalencePair)):
         return x.value
-    if isinstance(x, float):
-        if math.isinf(x):
-            return None  # JSON has no Infinity; settling that never happens
-        return x
+    if isinstance(x, float) and not math.isfinite(x):
+        return None  # JSON has no Infinity (settling that never happens) or NaN
     return x
 
 
 def _emit(payload) -> None:
-    print(json.dumps(_jsonable(payload), indent=2))
+    print(json.dumps(_jsonable(payload), indent=2, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +408,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # built once, on first use; parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="freqdispatch",
                      description="Economic dispatch solvers and the equivalent "

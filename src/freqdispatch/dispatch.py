@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import DispatchSolution, Scenario, cost_value, marginal_cost, total_load
+from .model import DispatchSolution, Scenario, _rank_one, cost_value, marginal_cost, total_load
 
 __all__ = [
     "DIVERGENCE_FACTOR",
@@ -81,11 +81,7 @@ def aggregate_power_slope(s: Scenario) -> float:
     Under marginal-cost matching, total power is an affine function of the
     price with this slope; it drives every contraction factor below.
     """
-    return sum(1.0 / (2.0 * g.cost.a) for g in s.generators)
-
-
-def _intercept_sum(s: Scenario) -> float:
-    return sum(g.cost.b / (2.0 * g.cost.a) for g in s.generators)
+    return _rank_one(s)[1]
 
 
 def analytic_dispatch(s: Scenario) -> DispatchSolution:
@@ -100,9 +96,9 @@ def analytic_dispatch(s: Scenario) -> DispatchSolution:
     Unique because every a_i > 0. Outputs may be negative; there are no
     generator limits in this model.
     """
-    d = total_load(s)
-    lam = (d + _intercept_sum(s)) / aggregate_power_slope(s)
-    p = tuple((lam - g.cost.b) / (2.0 * g.cost.a) for g in s.generators)
+    w, slope, _ = _rank_one(s)
+    lam = (total_load(s) + float(w @ [g.cost.b for g in s.generators])) / slope
+    p = _dual_power(lam, s)
     cost = sum(cost_value(g.cost, pi) for g, pi in zip(s.generators, p))
     return DispatchSolution(p=p, lambda_star=lam, total_cost=cost)
 
@@ -287,16 +283,13 @@ def mom_inner_minimize(lam: float, s: Scenario, rho: float) -> tuple[float, ...]
         2 a_i p_i + b_i - rho * (D - sum_j p_j) = lam
 
     which is the SPD linear system (diag(2a) + rho * ones) p = lam - b + rho*D.
+    The matrix is diagonal plus rank one, so the Sherman-Morrison formula
+    solves it in O(N) without forming it.
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
-    a2 = np.array([2.0 * g.cost.a for g in s.generators])
-    b = np.array([g.cost.b for g in s.generators])
-    d = total_load(s)
-    n = len(a2)
-    matrix = np.diag(a2) + rho * np.ones((n, n))
-    rhs = lam - b + rho * d
-    return tuple(float(x) for x in np.linalg.solve(matrix, rhs))
+    r = lam + rho * total_load(s) - np.array([g.cost.b for g in s.generators])
+    return tuple(_rank_one(s)[2](rho, r).tolist())
 
 
 def initial_mom_state(s: Scenario, rho: float, lambda0: float | None = None) -> IterState:

@@ -19,6 +19,7 @@ from .model import (
     ControllerKind,
     CostCoefficients,
     Scenario,
+    _rank_one,
     integral_gain,
     total_load,
 )
@@ -111,13 +112,22 @@ def frequency_deviation(p, d_total: float, beta: float) -> float:
     return (sum(p) - d_total) / beta
 
 
+def _law(s: Scenario, cfg: ControllerConfig):
+    """rhs(state) = -g * delta_f with g_i = K/(2 a_i tau), times beta/(beta + K S) for PI.
+
+    Loads do not enter g, so one run computes it once and steps with the result.
+    """
+    g = np.array([integral_gain(gen.cost, cfg.gain_K, cfg.tau) for gen in s.generators])
+    if cfg.kind is ControllerKind.PROPORTIONAL_INTEGRAL:
+        g *= s.beta / (s.beta + cfg.gain_K * _rank_one(s)[1])
+    return lambda state, *_: -g * state.delta_f
+
+
 def integral_rhs(state: SimState, s: Scenario, cfg: ControllerConfig) -> np.ndarray:
     """Integral control law: dP_i/dt = -(K / (2 a_i tau)) * delta_f."""
     if cfg.kind is not ControllerKind.INTEGRAL:
         raise ValueError("integral_rhs requires an integral controller config")
-    gains = np.array([integral_gain(g.cost, cfg.gain_K, cfg.tau)
-                      for g in s.generators])
-    return -gains * state.delta_f
+    return _law(s, cfg)(state)
 
 
 def pi_rhs(state: SimState, s: Scenario, cfg: ControllerConfig) -> np.ndarray:
@@ -128,26 +138,18 @@ def pi_rhs(state: SimState, s: Scenario, cfg: ControllerConfig) -> np.ndarray:
         2 a_i tau dP_i/dt + K tau (sum_j dP_j/dt) / beta = -K delta_f
 
     where the middle term is K*tau*d(delta_f)/dt under the quasi-static
-    closure. Diagonal plus rank-one and SPD, so the aggregate rate has a
-    closed form:
+    closure. The system is diagonal plus rank one; solving it gives the
+    integral law with every gain scaled by one factor:
 
-        total = -K delta_f * S / (tau (1 + K S / beta)),  S = sum 1/(2 a_i)
-
-    and each dP_i/dt follows by back-substitution.
+        dP_i/dt = -(K / (2 a_i tau)) * beta / (beta + K S) * delta_f,  S = sum 1/(2 a_i)
     """
     if cfg.kind is not ControllerKind.PROPORTIONAL_INTEGRAL:
         raise ValueError("pi_rhs requires a PI controller config")
-    k, tau, beta = cfg.gain_K, cfg.tau, s.beta
-    slope = sum(1.0 / (2.0 * g.cost.a) for g in s.generators)
-    drive = -k * state.delta_f
-    total_rate = drive * slope / (tau * (1.0 + k * slope / beta))
-    coupling = (k * tau / beta) * total_rate
-    return np.array([(drive - coupling) / (2.0 * g.cost.a * tau)
-                     for g in s.generators])
+    return _law(s, cfg)(state)
 
 
 def _as_floats(arr) -> tuple[float, ...]:
-    return tuple(float(x) for x in arr)
+    return tuple(np.asarray(arr, dtype=float).tolist())
 
 
 def step_euler(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
@@ -231,7 +233,7 @@ def _snap_events(events, h: float, n_steps: int, n_loads: int):
             raise ValueError(f"event at t={t_ev} has {len(loads)} loads, expected {n_loads}")
         if not all(math.isfinite(x) for x in loads):
             raise ValueError(f"event at t={t_ev} has non-finite loads")
-        idx = int(round(t_ev / h))
+        idx = round(min(t_ev / h, n_steps + 1.0))  # clamped: a huge t_ev / h cannot overflow
         if idx > n_steps:
             raise ValueError(f"event at t={t_ev} lies beyond t_end")
         by_index[idx] = loads  # events snapping to the same step: last wins
@@ -244,8 +246,8 @@ def simulate(s: Scenario, cfg: ControllerConfig,
              events=(), method: str = "rk4") -> SimulationTrace:
     """Integrate the closed loop from the generators' initial outputs.
 
-    Load-step events are snapped to the nearest step of the fixed grid and
-    applied at that sample. ``method`` selects the integrator ("rk4" or
+    Sample i lies at t = i*h. Load-step events are snapped to the nearest
+    step of the fixed grid and applied at that sample. ``method`` selects the integrator ("rk4" or
     "euler"); use "euler" with h equal to the scenario tau to reproduce
     the discrete solver iterates exactly. Under Inertial the deviation
     starts at zero and is integrated; the PI controller requires the
@@ -253,6 +255,8 @@ def simulate(s: Scenario, cfg: ControllerConfig,
     """
     if h <= 0:
         raise ValueError("h must be > 0")
+    if not (math.isfinite(h) and math.isfinite(t_end / h)):
+        raise ValueError("h, t_end and t_end/h must be finite")
     if t_end <= h:
         raise ValueError("t_end must exceed h")
     if method not in ("euler", "rk4"):
@@ -262,7 +266,7 @@ def simulate(s: Scenario, cfg: ControllerConfig,
     if cfg.kind is ControllerKind.PROPORTIONAL_INTEGRAL and not isinstance(model, QuasiStatic):
         raise ValueError("the PI controller requires the QuasiStatic frequency model")
 
-    rhs = integral_rhs if cfg.kind is ControllerKind.INTEGRAL else pi_rhs
+    rhs = _law(s, cfg)
     stepper = step_rk4 if method == "rk4" else step_euler
     n_steps = int(round(t_end / h))
     snapped, by_index = _snap_events(events, h, n_steps, len(s.loads))
@@ -279,12 +283,13 @@ def simulate(s: Scenario, cfg: ControllerConfig,
     samples = [state]
 
     for i in range(1, n_steps + 1):
-        state = stepper(rhs, state, current, cfg, h, model)
+        nxt = stepper(rhs, state, current, cfg, h, model)
+        delta_f = nxt.delta_f
         if i in by_index:
             current = replace(current, loads=by_index[i])
             if isinstance(model, QuasiStatic):
-                state = replace(state, delta_f=frequency_deviation(
-                    state.p, total_load(current), model.beta))
+                delta_f = frequency_deviation(nxt.p, total_load(current), model.beta)
+        state = SimState(i * h, nxt.p, delta_f)  # i*h, since summing h drifts off the grid
         samples.append(state)
 
     return SimulationTrace(tuple(samples), tuple(snapped), cfg, model, s)
@@ -299,22 +304,16 @@ def settling_time(trace: SimulationTrace, eps: float) -> float:
     if eps <= 0:
         raise ValueError("eps must be > 0")
     samples = trace.samples
-    start = trace.events[-1].time if trace.events else samples[0].t
-    # Sample times accumulate, so match the start against the grid loosely.
-    half_gap = 0.5 * (samples[1].t - samples[0].t) if len(samples) > 1 else 0.0
+    t0 = samples[0].t
+    start = trace.events[-1].time if trace.events else t0
+    # Samples and event times lie on the grid t0 + i*h.
     idx0 = 0
-    while idx0 < len(samples) - 1 and samples[idx0].t < start - half_gap:
-        idx0 += 1
-    tail = samples[idx0:]
-    last_violation = None
-    for j, st in enumerate(tail):
-        if abs(st.delta_f) > eps:
-            last_violation = j
-    if last_violation is None:
-        return start
-    if last_violation == len(tail) - 1:
-        return math.inf
-    return tail[last_violation + 1].t
+    if start > t0 and len(samples) > 1:
+        idx0 = min(round((start - t0) / (samples[1].t - t0)), len(samples) - 1)
+    for j in range(len(samples) - 1, idx0 - 1, -1):
+        if abs(samples[j].delta_f) > eps:
+            return math.inf if j == len(samples) - 1 else samples[j + 1].t
+    return start
 
 
 def pi_frequency_response(cost: CostCoefficients, gain_k: float, tau: float,

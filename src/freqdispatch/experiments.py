@@ -27,8 +27,7 @@ from .dynamics import (
     QuasiStatic,
     SimState,
     SimulationTrace,
-    integral_rhs,
-    pi_rhs,
+    _law,
     settling_time,
     simulate,
     step_euler,
@@ -80,17 +79,16 @@ def check_euler_equivalence(s: Scenario, pair: EquivalencePair, steps: int,
     if pair is EquivalencePair.DUAL_VS_INTEGRAL:
         st = initial_dual_state(s, lambda0)
         advance = lambda cur: dual_ascent_step(cur, s, coupling)
-        rhs = integral_rhs
         kind = ControllerKind.INTEGRAL
     elif pair is EquivalencePair.MOM_VS_PI:
         st = initial_mom_state(s, coupling, lambda0)
         advance = lambda cur: mom_step(cur, s, coupling)
-        rhs = pi_rhs
         kind = ControllerKind.PROPORTIONAL_INTEGRAL
     else:
         raise ValueError(f"unknown equivalence pair {pair!r}")
 
     cfg = ControllerConfig(kind, s.gain_K, s.tau)
+    rhs = _law(s, cfg)
     sim = SimState(0.0, st.p, -st.imbalance / s.beta)
     deviation = 0.0
     for _ in range(steps):

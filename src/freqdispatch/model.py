@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "ControllerConfig",
     "ControllerKind",
@@ -121,6 +123,19 @@ def integral_gain(cost: CostCoefficients, gain_k: float, tau: float) -> float:
     integral control law dP/dt = -(K/(2*a*tau)) * delta_f.
     """
     return gain_k / (2.0 * cost.a * tau)
+
+
+def _rank_one(s: Scenario):
+    """w = 1/(2a), S = sum(w), and solve(rho, r): the O(N) Sherman-Morrison solution
+    p = y - w * rho * sum(y) / (1 + rho * S), y = w * r, of (diag(2a) + rho * ones) p = r."""
+    w = np.array([1.0 / (2.0 * g.cost.a) for g in s.generators])
+    slope = float(w.sum())
+
+    def solve(rho: float, r) -> np.ndarray:
+        y = w * r
+        return y - w * (rho * float(y.sum()) / (1.0 + rho * slope))
+
+    return w, slope, solve
 
 
 def total_load(s: Scenario) -> float:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from freqdispatch import (
@@ -264,6 +265,17 @@ def test_cmd_iterate_mom_converges(scenario_file, capsys, tmp_path):
     assert len(lines) == 25  # header + 24 states
 
 
+def test_cmd_iterate_mom_needs_no_dense_solve(scenario_file, capsys, monkeypatch):
+    def no_dense_solve(*args, **kwargs):
+        raise AssertionError("numpy.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
+    assert run_command(["iterate", scenario_file, "--method", "mom"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is True
+    assert payload["p"] == pytest.approx([7.0, 3.0], abs=1e-5)
+
+
 def test_cmd_iterate_defaults_to_coupling_step(scenario_file, capsys):
     # alpha defaults to K/beta = 2/3, the deadbeat step for this scenario
     code = run_command(["iterate", scenario_file, "--method", "dual",
@@ -366,3 +378,56 @@ def test_invalid_file_exit_2(tmp_path, capsys):
 
 def test_help_exits_cleanly(capsys):
     assert run_command(["--help"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# non-finite input: a clean exit code and strict JSON on stdout
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_nan_solver_block_exit_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(reference_text(solver={"alpha": float("nan"), "tol": float("nan")}))
+    assert run_command(["validate", str(path)]) == 2
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload == {"valid": False, "error": "solver.alpha: must be finite"}
+    assert run_command(["iterate", str(path), "--method", "dual"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "solver.alpha: must be finite" in captured.err
+
+
+def test_nan_iterate_output_is_strict_json(scenario_file, capsys):
+    # A NaN step size drives the price to NaN: the run diverges, and the
+    # NaN fields are written as null.
+    code = run_command(["iterate", scenario_file, "--method", "dual",
+                        "--alpha", "nan", "--lambda0", "0"])
+    assert code == 3
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["stop_reason"] == "diverged"
+    assert payload["alpha"] is None and payload["lambda"] is None
+
+
+def test_infinite_t_end_in_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text(reference_text(simulation={"controller": "integral",
+                                               "t_end": float("inf")}))
+    assert run_command(["validate", str(path)]) == 2
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload == {"valid": False, "error": "simulation.t_end: must be finite"}
+    assert run_command(["simulate", str(path), "--controller", "integral"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--h", "inf"], ["--h", "nan"]])
+def test_non_finite_grid_flag_exit_1(scenario_file, capsys, flags):
+    code = run_command(["simulate", scenario_file, "--controller", "pi", *flags])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err

@@ -275,6 +275,19 @@ def test_simulate_guards(scenario_r):
         simulate(scenario_r, cfg, h=0.01, t_end=1.0, method="leapfrog")
 
 
+@pytest.mark.parametrize("h, t_end", [(0.01, math.inf), (math.inf, 1.0), (math.nan, 1.0),
+                                      (0.01, math.nan), (1e-300, 1e10)])
+def test_simulate_rejects_non_finite_grid(scenario_r, h, t_end):
+    with pytest.raises(ValueError, match="must be finite"):
+        simulate(scenario_r, _cfg(INTEGRAL, scenario_r), h=h, t_end=t_end)
+
+
+def test_simulate_rejects_event_far_beyond_t_end(scenario_r):
+    with pytest.raises(ValueError, match="beyond t_end"):
+        simulate(scenario_r, _cfg(INTEGRAL, scenario_r), h=1e-10, t_end=1e-8,
+                 events=[(1e300, (7.2, 4.8))])
+
+
 def test_inertial_model_reaches_same_equilibrium(scenario_r):
     trace = simulate(scenario_r, _cfg(INTEGRAL, scenario_r), Inertial(1.5, 3.0),
                      h=0.01, t_end=60.0, events=[(1.0, (7.2, 4.8))])
