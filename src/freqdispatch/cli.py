@@ -11,7 +11,9 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .dispatch import (
     IterationTrace,
@@ -25,6 +27,7 @@ from .dynamics import (
     LoadEvent,
     QuasiStatic,
     SimulationTrace,
+    _check_events,
     settling_time,
     simulate,
 )
@@ -42,7 +45,6 @@ from .model import (
     CostCoefficients,
     Generator,
     Scenario,
-    marginal_cost,
     validate_scenario,
 )
 
@@ -140,12 +142,6 @@ def _string(value, path) -> str:
     return value
 
 
-def _require_finite(path, **values) -> None:
-    for name, value in values.items():
-        if value is not None and not math.isfinite(value):
-            raise ScenarioFileError(_join(path, name), "must be finite")
-
-
 def _array(value, path) -> list:
     if not isinstance(value, list):
         raise ScenarioFileError(path, "expected an array")
@@ -185,6 +181,17 @@ def _parse_scenario(obj, path) -> Scenario:
     )
 
 
+def _solver_problem(opts: SolverOptions) -> tuple[str, str] | None:
+    """The first solver rule ``opts`` breaks, as (field, message), or None."""
+    for name in ("alpha", "rho", "tol", "lambda0"):
+        value = getattr(opts, name)
+        if value is not None and not math.isfinite(value):
+            return name, "must be finite"
+        if value is not None and value <= 0 and name != "lambda0":
+            return name, "must be > 0"
+    return ("max_iter", "must be >= 1") if opts.max_iter < 1 else None
+
+
 def _parse_solver(obj, path) -> SolverOptions:
     _check_keys(obj, path, required=set(),
                 optional={"alpha", "rho", "tol", "max_iter", "lambda0"})
@@ -195,15 +202,9 @@ def _parse_solver(obj, path) -> SolverOptions:
         max_iter=_integer(obj.get("max_iter", 10000), _join(path, "max_iter")),
         lambda0=_number(obj["lambda0"], _join(path, "lambda0")) if "lambda0" in obj else None,
     )
-    _require_finite(path, alpha=opts.alpha, rho=opts.rho, tol=opts.tol, lambda0=opts.lambda0)
-    if opts.alpha is not None and opts.alpha <= 0:
-        raise ScenarioFileError(_join(path, "alpha"), "must be > 0")
-    if opts.rho is not None and opts.rho <= 0:
-        raise ScenarioFileError(_join(path, "rho"), "must be > 0")
-    if opts.tol <= 0:
-        raise ScenarioFileError(_join(path, "tol"), "must be > 0")
-    if opts.max_iter < 1:
-        raise ScenarioFileError(_join(path, "max_iter"), "must be >= 1")
+    problem = _solver_problem(opts)
+    if problem is not None:
+        raise ScenarioFileError(_join(path, problem[0]), problem[1])
     return opts
 
 
@@ -218,32 +219,22 @@ def _parse_simulation(obj, path, n_loads: int) -> SimulationOptions:
                                 f"must be 'integral' or 'pi', got {raw_kind!r}")
     h = _number(obj["h"], _join(path, "h")) if "h" in obj else None
     t_end = _number(obj["t_end"], _join(path, "t_end")) if "t_end" in obj else None
-    _require_finite(path, h=h, t_end=t_end)
-    if h is not None and h <= 0:
-        raise ScenarioFileError(_join(path, "h"), "must be > 0")
-    if t_end is not None and t_end <= 0:
-        raise ScenarioFileError(_join(path, "t_end"), "must be > 0")
+    for name, value in (("h", h), ("t_end", t_end)):
+        if value is not None and not math.isfinite(value):
+            raise ScenarioFileError(_join(path, name), "must be finite")
+        if value is not None and value <= 0:
+            raise ScenarioFileError(_join(path, name), "must be > 0")
 
     events = []
-    prev = -math.inf
     for i, ev in enumerate(_array(obj.get("events", []), _join(path, "events"))):
         ev_path = f"{path}.events[{i}]"
         _check_keys(ev, ev_path, required={"time", "loads"}, optional=set())
-        t_ev = _number(ev["time"], _join(ev_path, "time"))
-        if not math.isfinite(t_ev) or t_ev < 0:
-            raise ScenarioFileError(_join(ev_path, "time"), "must be finite and >= 0")
-        if t_ev < prev:
-            raise ScenarioFileError(_join(ev_path, "time"), "events must be sorted by time")
-        prev = t_ev
-        loads = tuple(_number(x, f"{ev_path}.loads[{j}]")
-                      for j, x in enumerate(_array(ev["loads"], _join(ev_path, "loads"))))
-        if len(loads) != n_loads:
-            raise ScenarioFileError(_join(ev_path, "loads"),
-                                    f"expected {n_loads} loads, got {len(loads)}")
-        if not all(math.isfinite(x) for x in loads):
-            raise ScenarioFileError(_join(ev_path, "loads"), "loads must be finite")
-        events.append(LoadEvent(t_ev, loads))
-    return SimulationOptions(controller=kind, h=h, t_end=t_end, events=tuple(events))
+        events.append((_number(ev["time"], _join(ev_path, "time")),
+                       [_number(x, f"{ev_path}.loads[{j}]")
+                        for j, x in enumerate(_array(ev["loads"], _join(ev_path, "loads")))]))
+    return SimulationOptions(controller=kind, h=h, t_end=t_end,
+                             events=_check_events(events, n_loads, ScenarioFileError,
+                                                  _join(path, "events")))
 
 
 def parse_scenario_file(text: str) -> ScenarioFile:
@@ -347,11 +338,11 @@ def _write_simulation_csv(trace: SimulationTrace, sink) -> None:
     header = ["t"] + [f"p_{i + 1}" for i in range(n)] + ["delta_f"] \
         + [f"marginal_cost_{i + 1}" for i in range(n)]
     sink.write(",".join(header) + "\n")
-    for st in trace.samples:
-        marginals = [marginal_cost(g.cost, x) for g, x in zip(gens, st.p)]
-        row = [_fmt(st.t)] + [_fmt(x) for x in st.p] + [_fmt(st.delta_f)] \
-            + [_fmt(m) for m in marginals]
-        sink.write(",".join(row) + "\n")
+    a, b = np.array([(g.cost.a, g.cost.b) for g in gens]).reshape(n, 2).T
+    # 2*a*p + b, the operations of model.marginal_cost; "%.17g" is format(x, ".17g")
+    table = np.column_stack([trace.t, trace.p, trace.delta_f, 2.0 * a * trace.p + b])
+    row = ",".join(["%.17g"] * (2 * n + 2)) + "\n"
+    sink.writelines(row % tuple(values.tolist()) for values in table)
 
 
 def _write_sweep_csv(records, sink) -> None:
@@ -471,12 +462,18 @@ def _read_file(path: str) -> ScenarioFile:
         return parse_scenario_file(fh.read())
 
 
-def _solver_opts(sf: ScenarioFile) -> SolverOptions:
-    return sf.solver if sf.solver is not None else SolverOptions()
-
-
-def _default_coupling(s: Scenario) -> float:
-    return s.gain_K / s.beta
+def _solver_opts(args, s: Scenario, block: SolverOptions | None) -> SolverOptions:
+    """The solver block with the command's flags merged over it, checked by the
+    block's rules; alpha and rho default to K/beta."""
+    flags = {name: value for name in ("alpha", "rho", "tol", "max_iter", "lambda0")
+             if (value := getattr(args, name, None)) is not None}
+    opts = replace(block if block is not None else SolverOptions(), **flags)
+    problem = _solver_problem(opts)
+    if problem is not None:
+        raise ValueError(f"--{problem[0].replace('_', '-')} {problem[1]}")
+    coupling = s.gain_K / s.beta
+    return replace(opts, alpha=coupling if opts.alpha is None else opts.alpha,
+                   rho=coupling if opts.rho is None else opts.rho)
 
 
 def _cmd_validate(args) -> int:
@@ -514,22 +511,13 @@ def _cmd_dispatch(args) -> int:
 
 def _cmd_iterate(args) -> int:
     sf = _read_file(args.file)
-    s = sf.scenario
-    opts = _solver_opts(sf)
-    tol = args.tol if args.tol is not None else opts.tol
-    max_iter = args.max_iter if args.max_iter is not None else opts.max_iter
-    lambda0 = args.lambda0 if args.lambda0 is not None else opts.lambda0
-
+    opts = _solver_opts(args, sf.scenario, sf.solver)
     if args.method == "dual":
-        alpha = args.alpha if args.alpha is not None else \
-            (opts.alpha if opts.alpha is not None else _default_coupling(s))
-        trace = dual_ascent_solve(s, alpha, tol, max_iter, lambda0)
-        step_size = {"alpha": alpha}
+        trace = dual_ascent_solve(sf.scenario, opts.alpha, opts.tol, opts.max_iter, opts.lambda0)
+        step_size = {"alpha": opts.alpha}
     else:
-        rho = args.rho if args.rho is not None else \
-            (opts.rho if opts.rho is not None else _default_coupling(s))
-        trace = mom_solve(s, rho, tol, max_iter, lambda0)
-        step_size = {"rho": rho}
+        trace = mom_solve(sf.scenario, opts.rho, opts.tol, opts.max_iter, opts.lambda0)
+        step_size = {"rho": opts.rho}
 
     last = trace.states[-1]
     payload = {
@@ -541,7 +529,7 @@ def _cmd_iterate(args) -> int:
         "p": list(last.p),
         "imbalance": last.imbalance,
         "delta_f": last.delta_f,
-        "empirical_ratio": empirical_ratio(trace, tol),
+        "empirical_ratio": empirical_ratio(trace, opts.tol),
     }
     _emit(payload)
     if args.out_csv:
@@ -561,16 +549,15 @@ def _cmd_simulate(args) -> int:
 
     cfg = ControllerConfig(kind, s.gain_K, s.tau)
     trace = simulate(s, cfg, QuasiStatic(s.beta), h=h, t_end=t_end, events=sim.events)
-    last = trace.samples[-1]
     steady = verify_steady_state_optimality(trace, s, tol=1e-6)
     payload = {
         "controller": kind,
         "h": h,
         "t_end": t_end,
-        "samples": len(trace.samples),
-        "final_t": last.t,
-        "final_p": list(last.p),
-        "final_delta_f": last.delta_f,
+        "samples": len(trace.t),
+        "final_t": float(trace.t[-1]),
+        "final_p": trace.p[-1].tolist(),
+        "final_delta_f": float(trace.delta_f[-1]),
         "settling_time": settling_time(trace, args.eps),
         "settling_eps": args.eps,
         "steady_state": {
@@ -598,18 +585,12 @@ def _method_payload(m) -> dict | None:
 
 def _cmd_compare(args) -> int:
     sf = _read_file(args.file)
-    s = sf.scenario
-    opts = _solver_opts(sf)
-    tol = args.tol if args.tol is not None else opts.tol
-    alpha = args.alpha if args.alpha is not None else \
-        (opts.alpha if opts.alpha is not None else _default_coupling(s))
-    rho = args.rho if args.rho is not None else \
-        (opts.rho if opts.rho is not None else _default_coupling(s))
-    lambda0 = args.lambda0 if args.lambda0 is not None else opts.lambda0
-    report = compare_convergence(s, alpha, rho, tol, lambda0=lambda0)
+    opts = _solver_opts(args, sf.scenario, sf.solver)
+    report = compare_convergence(sf.scenario, opts.alpha, opts.rho, opts.tol,
+                                 lambda0=opts.lambda0)
     _emit({
-        "alpha": alpha,
-        "rho": rho,
+        "alpha": opts.alpha,
+        "rho": opts.rho,
         "dual": _method_payload(report.dual),
         "mom": _method_payload(report.mom),
         "settling_integral": report.settling_integral,
@@ -620,9 +601,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sf = _read_file(args.file)
-    opts = _solver_opts(sf)
-    tol = args.tol if args.tol is not None else opts.tol
-    records = sweep(sf.scenario, args.param, args.values, tol, lambda0=opts.lambda0)
+    opts = _solver_opts(args, sf.scenario, sf.solver)
+    records = sweep(sf.scenario, args.param, args.values, opts.tol, lambda0=opts.lambda0)
     _emit({
         "parameter": args.param,
         "records": [{
@@ -642,7 +622,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_equivalence(args) -> int:
     sf = _read_file(args.file)
     pair = EquivalencePair(args.pair)
-    report = check_euler_equivalence(sf.scenario, pair, args.steps, args.lambda0)
+    lambda0 = _solver_opts(args, sf.scenario, None).lambda0  # the file's solver block is not read
+    report = check_euler_equivalence(sf.scenario, pair, args.steps, lambda0)
     _emit({"pair": report.pair, "steps": report.steps,
            "max_abs_deviation": report.max_abs_deviation})
     return EXIT_OK

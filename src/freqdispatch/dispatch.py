@@ -22,6 +22,7 @@ __all__ = [
     "DIVERGENCE_FACTOR",
     "IterState",
     "IterationTrace",
+    "MAX_GRID_POINTS",
     "StopReason",
     "aggregate_power_slope",
     "analytic_dispatch",
@@ -42,6 +43,10 @@ __all__ = [
 # An iteration whose imbalance exceeds DIVERGENCE_FACTOR * max(|D|, 1) is
 # declared divergent; without the guard an unstable step size overflows.
 DIVERGENCE_FACTOR = 1e9
+
+# Largest grid brute_force_dispatch builds per output (8 MB of float64), so a
+# tiny grid_step is refused instead of exhausting memory.
+MAX_GRID_POINTS = 1_000_000
 
 
 class StopReason(Enum):
@@ -112,15 +117,16 @@ def brute_force_dispatch(s: Scenario, grid_step: float) -> DispatchSolution:
 
     The first N-1 outputs range over a uniform grid on [-2D, 2D]; the last
     output is fixed by the balance constraint. Returns the grid point of
-    minimum total cost. Exponential in N, so N > 4 is refused. The
-    reported price is the mean of the marginal costs at the grid optimum
-    (the grid point itself carries no exact multiplier).
+    minimum total cost. Exponential in N, so N > 4 is refused, and so is a
+    grid of more than MAX_GRID_POINTS points. The reported price is the
+    mean of the marginal costs at the grid optimum (the grid point itself
+    carries no exact multiplier).
     """
     n = len(s.generators)
     if n > 4:
         raise ValueError("brute_force_dispatch supports at most 4 generators")
-    if grid_step <= 0:
-        raise ValueError("grid_step must be > 0")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise ValueError("grid_step must be finite and > 0")
 
     d = total_load(s)
     a = np.array([g.cost.a for g in s.generators])
@@ -131,7 +137,10 @@ def brute_force_dispatch(s: Scenario, grid_step: float) -> DispatchSolution:
     else:
         lo, hi = -2.0 * abs(d), 2.0 * abs(d)
         # ceil so the grid covers the full range even for non-divisor steps
-        npts = int(math.ceil((hi - lo) / grid_step - 1e-9)) + 1
+        npts = math.ceil(min((hi - lo) / grid_step - 1e-9, MAX_GRID_POINTS)) + 1
+        if npts > MAX_GRID_POINTS:
+            raise ValueError(f"grid_step {grid_step!r} gives more than {MAX_GRID_POINTS} "
+                             "grid points on [-2D, 2D]; use a larger grid_step")
         grid = lo + grid_step * np.arange(npts)
 
         if n == 2:

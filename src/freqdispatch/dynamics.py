@@ -10,6 +10,7 @@ asserts both identities step for step.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,11 +92,14 @@ class LoadEvent:
     loads: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationTrace:
-    """All samples of one closed-loop run, in strictly increasing time."""
+    """One closed-loop run as columns ``t`` (n+1,), ``p`` (n+1, N) and ``delta_f``
+    (n+1,): one row per sample, in strictly increasing time."""
 
-    samples: tuple[SimState, ...]
+    t: np.ndarray
+    p: np.ndarray
+    delta_f: np.ndarray
     events: tuple[LoadEvent, ...]
     controller: ControllerConfig
     model: FrequencyModel
@@ -148,8 +152,47 @@ def pi_rhs(state: SimState, s: Scenario, cfg: ControllerConfig) -> np.ndarray:
     return _law(s, cfg)(state)
 
 
-def _as_floats(arr) -> tuple[float, ...]:
-    return tuple(np.asarray(arr, dtype=float).tolist())
+# pack(state) -> y, unpack(t, y) -> state, deriv(state) -> dy/dt
+_Loop = namedtuple("_Loop", "pack unpack deriv")
+
+
+def _closure(rhs, s: Scenario, cfg: ControllerConfig, model: FrequencyModel | None) -> _Loop:
+    """How ``model`` closes the loop around ``rhs`` at the scenario's load.
+
+    Under QuasiStatic y = p and unpack recomputes delta_f from p at the
+    scenario's load; under Inertial y = (p, delta_f).
+    """
+    if model is None:
+        model = QuasiStatic(s.beta)
+    d = total_load(s)
+    if isinstance(model, QuasiStatic):
+        def unpack(t, y):
+            p = tuple(y.tolist())
+            return SimState(t, p, frequency_deviation(p, d, model.beta))
+
+        return _Loop(lambda state: np.asarray(state.p), unpack,
+                     lambda state: np.asarray(rhs(state, s, cfg)))
+
+    def deriv(state):
+        ddf = ((sum(state.p) - d) - model.d_damp * state.delta_f) / model.m_inertia
+        return np.append(rhs(state, s, cfg), ddf)
+
+    return _Loop(lambda state: np.append(state.p, state.delta_f),
+                 lambda t, y: SimState(t, tuple(y[:-1].tolist()), float(y[-1])), deriv)
+
+
+def _euler(loop: _Loop, state: SimState, h: float) -> np.ndarray:
+    return loop.pack(state) + h * loop.deriv(state)
+
+
+def _rk4(loop: _Loop, state: SimState, h: float) -> np.ndarray:
+    pack, unpack, deriv = loop
+    t, y = state.t, pack(state)
+    k1 = deriv(state)
+    k2 = deriv(unpack(t + 0.5 * h, y + 0.5 * h * k1))
+    k3 = deriv(unpack(t + 0.5 * h, y + 0.5 * h * k2))
+    k4 = deriv(unpack(t + h, y + h * k3))
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def step_euler(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
@@ -161,17 +204,8 @@ def step_euler(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
     """
     if h <= 0:
         raise ValueError("h must be > 0")
-    if model is None:
-        model = QuasiStatic(s.beta)
-    d = total_load(s)
-    dp = np.asarray(rhs(state, s, cfg))
-    p_new = _as_floats(np.asarray(state.p) + h * dp)
-    if isinstance(model, QuasiStatic):
-        df_new = frequency_deviation(p_new, d, model.beta)
-    else:
-        df_new = state.delta_f + h * ((sum(state.p) - d)
-                                      - model.d_damp * state.delta_f) / model.m_inertia
-    return SimState(state.t + h, p_new, df_new)
+    loop = _closure(rhs, s, cfg, model)
+    return loop.unpack(state.t + h, _euler(loop, state, h))
 
 
 def step_rk4(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
@@ -179,66 +213,28 @@ def step_rk4(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
     """One classical 4-stage Runge-Kutta step of size h."""
     if h <= 0:
         raise ValueError("h must be > 0")
-    if model is None:
-        model = QuasiStatic(s.beta)
-    d = total_load(s)
-    t, p0 = state.t, np.asarray(state.p)
-
-    if isinstance(model, QuasiStatic):
-        beta = model.beta
-
-        def stage(ts, p_arr):
-            pt = _as_floats(p_arr)
-            return SimState(ts, pt, frequency_deviation(pt, d, beta))
-
-        k1 = np.asarray(rhs(state, s, cfg))
-        k2 = np.asarray(rhs(stage(t + 0.5 * h, p0 + 0.5 * h * k1), s, cfg))
-        k3 = np.asarray(rhs(stage(t + 0.5 * h, p0 + 0.5 * h * k2), s, cfg))
-        k4 = np.asarray(rhs(stage(t + h, p0 + h * k3), s, cfg))
-        p_new = _as_floats(p0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        return SimState(t + h, p_new, frequency_deviation(p_new, d, beta))
-
-    def deriv(ts, y):
-        st = SimState(ts, _as_floats(y[:-1]), float(y[-1]))
-        dp = np.asarray(rhs(st, s, cfg))
-        ddf = ((y[:-1].sum() - d) - model.d_damp * y[-1]) / model.m_inertia
-        return np.append(dp, ddf)
-
-    y0 = np.append(p0, state.delta_f)
-    k1 = deriv(t, y0)
-    k2 = deriv(t + 0.5 * h, y0 + 0.5 * h * k1)
-    k3 = deriv(t + 0.5 * h, y0 + 0.5 * h * k2)
-    k4 = deriv(t + h, y0 + h * k3)
-    y_new = y0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return SimState(t + h, _as_floats(y_new[:-1]), float(y_new[-1]))
+    loop = _closure(rhs, s, cfg, model)
+    return loop.unpack(state.t + h, _rk4(loop, state, h))
 
 
-def _snap_events(events, h: float, n_steps: int, n_loads: int):
-    """Validate the event list and snap each time to the step grid."""
-    snapped: list[LoadEvent] = []
-    by_index: dict[int, tuple[float, ...]] = {}
-    prev = -math.inf
-    for ev in events:
-        if isinstance(ev, LoadEvent):
-            t_ev, loads = ev.time, ev.loads
-        else:
-            t_ev, loads = ev
-        if not math.isfinite(t_ev) or t_ev < 0:
-            raise ValueError(f"event time {t_ev!r} must be finite and >= 0")
-        if t_ev < prev:
-            raise ValueError("events must be sorted by time")
-        prev = t_ev
+def _check_events(events, n_loads: int, error=lambda where, why: ValueError(f"{where}: {why}"),
+                  where: str = "events") -> tuple[LoadEvent, ...]:
+    """(time, loads) pairs or LoadEvents as LoadEvents, with finite times >= 0 in
+    order and n_loads finite loads each; else raise error(f"{where}[i].field", why)."""
+    out: list[LoadEvent] = []
+    for i, ev in enumerate(events):
+        t_ev, loads = (ev.time, ev.loads) if isinstance(ev, LoadEvent) else ev
         loads = tuple(float(x) for x in loads)
+        if not math.isfinite(t_ev) or t_ev < 0:
+            raise error(f"{where}[{i}].time", "must be finite and >= 0")
+        if out and t_ev < out[-1].time:
+            raise error(f"{where}[{i}].time", "events must be sorted by time")
         if len(loads) != n_loads:
-            raise ValueError(f"event at t={t_ev} has {len(loads)} loads, expected {n_loads}")
+            raise error(f"{where}[{i}].loads", f"expected {n_loads} loads, got {len(loads)}")
         if not all(math.isfinite(x) for x in loads):
-            raise ValueError(f"event at t={t_ev} has non-finite loads")
-        idx = round(min(t_ev / h, n_steps + 1.0))  # clamped: a huge t_ev / h cannot overflow
-        if idx > n_steps:
-            raise ValueError(f"event at t={t_ev} lies beyond t_end")
-        by_index[idx] = loads  # events snapping to the same step: last wins
-        snapped.append(LoadEvent(idx * h, loads))
-    return snapped, by_index
+            raise error(f"{where}[{i}].loads", "loads must be finite")
+        out.append(LoadEvent(t_ev, loads))
+    return tuple(out)
 
 
 def simulate(s: Scenario, cfg: ControllerConfig,
@@ -246,12 +242,13 @@ def simulate(s: Scenario, cfg: ControllerConfig,
              events=(), method: str = "rk4") -> SimulationTrace:
     """Integrate the closed loop from the generators' initial outputs.
 
-    Sample i lies at t = i*h. Load-step events are snapped to the nearest
-    step of the fixed grid and applied at that sample. ``method`` selects the integrator ("rk4" or
-    "euler"); use "euler" with h equal to the scenario tau to reproduce
-    the discrete solver iterates exactly. Under Inertial the deviation
-    starts at zero and is integrated; the PI controller requires the
-    QuasiStatic model because its law closes through that relation.
+    Row i of the trace's columns is the sample at t = i*h, i = 0 .. round(t_end/h).
+    Load-step events are snapped to the nearest step of the fixed grid and
+    applied at that sample. ``method`` selects the integrator ("rk4" or
+    "euler"); use "euler" with h equal to the scenario tau to reproduce the
+    discrete solver iterates exactly. Under Inertial the deviation starts at
+    zero and is integrated; the PI controller requires the QuasiStatic model
+    because its law closes through that relation.
     """
     if h <= 0:
         raise ValueError("h must be > 0")
@@ -267,53 +264,53 @@ def simulate(s: Scenario, cfg: ControllerConfig,
         raise ValueError("the PI controller requires the QuasiStatic frequency model")
 
     rhs = _law(s, cfg)
-    stepper = step_rk4 if method == "rk4" else step_euler
+    advance = _rk4 if method == "rk4" else _euler
     n_steps = int(round(t_end / h))
-    snapped, by_index = _snap_events(events, h, n_steps, len(s.loads))
+    snapped: list[LoadEvent] = []
+    by_index: dict[int, tuple[float, ...]] = {}
+    for ev in _check_events(events, len(s.loads)):  # snapped to the step grid
+        idx = round(min(ev.time / h, n_steps + 1.0))  # clamped: a huge time / h cannot overflow
+        if idx > n_steps:
+            raise ValueError(f"event at t={ev.time} lies beyond t_end")
+        by_index[idx] = ev.loads  # events snapping to the same step: last wins
+        snapped.append(LoadEvent(idx * h, ev.loads))
+    n = len(s.generators)
 
-    current = s
-    if 0 in by_index:
-        current = replace(current, loads=by_index[0])
+    loop = _closure(rhs, replace(s, loads=by_index[0]) if 0 in by_index else s, cfg, model)
     p0 = tuple(float(g.p_init) for g in s.generators)
-    if isinstance(model, QuasiStatic):
-        df0 = frequency_deviation(p0, total_load(current), model.beta)
-    else:
-        df0 = 0.0
-    state = SimState(0.0, p0, df0)
-    samples = [state]
+    state = loop.unpack(0.0, loop.pack(SimState(0.0, p0, 0.0)))  # Inertial starts at delta_f = 0
+    p = np.empty((n_steps + 1, n))
+    delta_f = np.empty(n_steps + 1)
+    p[0], delta_f[0] = state.p, state.delta_f
 
     for i in range(1, n_steps + 1):
-        nxt = stepper(rhs, state, current, cfg, h, model)
-        delta_f = nxt.delta_f
+        y = advance(loop, state, h)
         if i in by_index:
-            current = replace(current, loads=by_index[i])
-            if isinstance(model, QuasiStatic):
-                delta_f = frequency_deviation(nxt.p, total_load(current), model.beta)
-        state = SimState(i * h, nxt.p, delta_f)  # i*h, since summing h drifts off the grid
-        samples.append(state)
+            loop = _closure(rhs, replace(s, loads=by_index[i]), cfg, model)
+        state = loop.unpack(i * h, y)
+        p[i], delta_f[i] = y[:n], state.delta_f
 
-    return SimulationTrace(tuple(samples), tuple(snapped), cfg, model, s)
+    t = np.arange(n_steps + 1) * h  # i*h, since summing h drifts off the grid
+    return SimulationTrace(t, p, delta_f, tuple(snapped), cfg, model, s)
 
 
 def settling_time(trace: SimulationTrace, eps: float) -> float:
     """Earliest time after the last event with |delta_f| inside the eps band for good.
 
-    Returns the last event's time when the band is never left afterwards,
-    and math.inf when the final sample is still outside it.
+    Scans the ``delta_f`` column from the last event's sample (the first
+    sample without events). Returns that sample's time when the band is
+    never left afterwards, and math.inf when the final sample is outside it.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    samples = trace.samples
-    t0 = samples[0].t
-    start = trace.events[-1].time if trace.events else t0
-    # Samples and event times lie on the grid t0 + i*h.
-    idx0 = 0
-    if start > t0 and len(samples) > 1:
-        idx0 = min(round((start - t0) / (samples[1].t - t0)), len(samples) - 1)
-    for j in range(len(samples) - 1, idx0 - 1, -1):
-        if abs(samples[j].delta_f) > eps:
-            return math.inf if j == len(samples) - 1 else samples[j + 1].t
-    return start
+    t = trace.t
+    start = trace.events[-1].time if trace.events else float(t[0])
+    idx0 = int(np.searchsorted(t, start))  # event times are sample times
+    outside = np.flatnonzero(np.abs(trace.delta_f[idx0:]) > eps)
+    if outside.size == 0:
+        return start
+    j = idx0 + int(outside[-1])
+    return math.inf if j == len(t) - 1 else float(t[j + 1])
 
 
 def pi_frequency_response(cost: CostCoefficients, gain_k: float, tau: float,

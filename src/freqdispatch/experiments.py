@@ -27,10 +27,11 @@ from .dynamics import (
     QuasiStatic,
     SimState,
     SimulationTrace,
+    _closure,
+    _euler,
     _law,
     settling_time,
     simulate,
-    step_euler,
 )
 from .model import ControllerConfig, ControllerKind, Scenario, marginal_cost
 
@@ -88,12 +89,12 @@ def check_euler_equivalence(s: Scenario, pair: EquivalencePair, steps: int,
         raise ValueError(f"unknown equivalence pair {pair!r}")
 
     cfg = ControllerConfig(kind, s.gain_K, s.tau)
-    rhs = _law(s, cfg)
+    loop = _closure(_law(s, cfg), s, cfg, QuasiStatic(s.beta))
     sim = SimState(0.0, st.p, -st.imbalance / s.beta)
     deviation = 0.0
     for _ in range(steps):
         st = advance(st)
-        sim = step_euler(rhs, sim, s, cfg, s.tau)
+        sim = loop.unpack(sim.t + s.tau, _euler(loop, sim, s.tau))
         deviation = max(deviation,
                         max(abs(x - y) for x, y in zip(st.p, sim.p)))
     return EquivalenceReport(pair, deviation, steps)
@@ -223,11 +224,11 @@ def verify_steady_state_optimality(trace: SimulationTrace, s: Scenario,
     """
     final_loads = trace.events[-1].loads if trace.events else s.loads
     target = analytic_dispatch(replace(s, loads=final_loads))
-    last = trace.samples[-1]
+    last_p = trace.p[-1].tolist()
 
-    power_error = max(abs(x - y) for x, y in zip(last.p, target.p))
-    freq_error = abs(last.delta_f)
-    marginals = [marginal_cost(g.cost, pi) for g, pi in zip(s.generators, last.p)]
+    power_error = max(abs(x - y) for x, y in zip(last_p, target.p))
+    freq_error = abs(float(trace.delta_f[-1]))
+    marginals = [marginal_cost(g.cost, pi) for g, pi in zip(s.generators, last_p)]
     spread_error = max(marginals) - min(marginals)
 
     failures = []

@@ -179,10 +179,10 @@ def test_criterion_7_simultaneous_regulation_and_dispatch():
         cfg = ControllerConfig(kind, R.gain_K, R.tau)
         trace = simulate(R, cfg, QuasiStatic(R.beta), h=R.tau / 100.0,
                          t_end=100.0 * R.tau, events=LOAD_STEP_EVENTS)
-        last = trace.samples[-1]
-        p_err = max(abs(x - y) for x, y in zip(last.p, TARGET_AT_12))
-        ok &= abs(last.delta_f) < 1e-6 and p_err < 1e-6
-        details.append(f"{kind.value}: |df|={abs(last.delta_f):.1e}, p_err={p_err:.1e}")
+        last_p, last_df = trace.p[-1].tolist(), float(trace.delta_f[-1])
+        p_err = max(abs(x - y) for x, y in zip(last_p, TARGET_AT_12))
+        ok &= abs(last_df) < 1e-6 and p_err < 1e-6
+        details.append(f"{kind.value}: |df|={abs(last_df):.1e}, p_err={p_err:.1e}")
     _report(7, ok, "; ".join(details))
     assert ok
 
@@ -203,8 +203,8 @@ def test_criterion_8_spread_conservation():
         trace = simulate(s, cfg, QuasiStatic(s.beta), h=1e-3, t_end=20.0,
                          events=events)
         spreads = []
-        for st in trace.samples:
-            m = [marginal_cost(g.cost, p) for g, p in zip(s.generators, st.p)]
+        for row in trace.p.tolist():
+            m = [marginal_cost(g.cost, p) for g, p in zip(s.generators, row)]
             spreads.append(max(m) - min(m))
         worst = max(worst, max(abs(sp - spreads[0]) for sp in spreads))
     ok = worst <= 1e-8
@@ -265,9 +265,9 @@ def test_criterion_10_inertial_model_robustness():
     model = Inertial(m_inertia=1.5, d_damp=3.0)  # critically damped aggregate
     trace = simulate(R, cfg, model, h=R.tau / 100.0, t_end=100.0 * R.tau,
                      events=LOAD_STEP_EVENTS)
-    last = trace.samples[-1]
-    p_err = max(abs(x - y) for x, y in zip(last.p, TARGET_AT_12))
-    ok = abs(last.delta_f) < 1e-6 and p_err <= 1e-5
-    _report(10, ok, f"inertial run: |df|={abs(last.delta_f):.1e}, p_err={p_err:.1e}")
-    assert abs(last.delta_f) < 1e-6
+    last_p, last_df = trace.p[-1].tolist(), float(trace.delta_f[-1])
+    p_err = max(abs(x - y) for x, y in zip(last_p, TARGET_AT_12))
+    ok = abs(last_df) < 1e-6 and p_err <= 1e-5
+    _report(10, ok, f"inertial run: |df|={abs(last_df):.1e}, p_err={p_err:.1e}")
+    assert abs(last_df) < 1e-6
     assert p_err <= 1e-5

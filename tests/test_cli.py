@@ -21,9 +21,9 @@ from freqdispatch.cli import (
     serialize_scenario_file,
     write_trace_csv,
 )
-from freqdispatch.model import ControllerConfig
+from freqdispatch.model import ControllerConfig, marginal_cost
 
-from conftest import reference_scenario
+from conftest import make_scenario, reference_scenario
 
 REFERENCE_JSON = {
     "format_version": 1,
@@ -202,20 +202,51 @@ def test_simulation_trace_csv_columns(scenario_r):
     assert list(rows[0]) == ["t", "p_1", "p_2", "delta_f",
                              "marginal_cost_1", "marginal_cost_2"]
     assert len(rows) == 3
-    for row, st in zip(rows, trace.samples):
-        assert float(row["t"]) == st.t
-        assert float(row["p_1"]) == st.p[0]
-        assert float(row["delta_f"]) == st.delta_f
-        assert float(row["marginal_cost_1"]) == 2.0 * 0.5 * st.p[0] + 1.0
+    for row, t, p, df in zip(rows, trace.t.tolist(), trace.p.tolist(), trace.delta_f.tolist()):
+        assert float(row["t"]) == t
+        assert float(row["p_1"]) == p[0]
+        assert float(row["delta_f"]) == df
+        assert float(row["marginal_cost_1"]) == 2.0 * 0.5 * p[0] + 1.0
 
 
 def test_empty_simulation_trace_writes_header_only(scenario_r):
     cfg = ControllerConfig(ControllerKind.INTEGRAL, 1.0, 1.0)
-    trace = SimulationTrace((), (), cfg, QuasiStatic(1.5), scenario_r)
+    trace = SimulationTrace(np.empty(0), np.empty((0, 2)), np.empty(0), (), cfg,
+                            QuasiStatic(1.5), scenario_r)
     sink = io.StringIO()
     write_trace_csv(trace, sink)
     assert sink.getvalue().strip().split("\n") == [
         "t,p_1,p_2,delta_f,marginal_cost_1,marginal_cost_2"]
+
+
+def _reference_simulation_csv(trace) -> str:
+    """Row by row: every value through format(x, ".17g"), costs through marginal_cost."""
+    gens = trace.scenario.generators
+    n = len(gens)
+    lines = [",".join(["t"] + [f"p_{i + 1}" for i in range(n)] + ["delta_f"]
+                      + [f"marginal_cost_{i + 1}" for i in range(n)])]
+    for t, p, df in zip(trace.t.tolist(), trace.p.tolist(), trace.delta_f.tolist()):
+        marginals = [marginal_cost(g.cost, x) for g, x in zip(gens, p)]
+        lines.append(",".join(format(x, ".17g") for x in [t, *p, df, *marginals]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 50])
+def test_simulation_csv_matches_row_by_row_reference(n):
+    if n == 0:  # the empty trace, on two generators
+        s = reference_scenario()
+        cfg = ControllerConfig(ControllerKind.INTEGRAL, s.gain_K, s.tau)
+        trace = SimulationTrace(np.empty(0), np.empty((0, 2)), np.empty(0), (), cfg,
+                                QuasiStatic(s.beta), s)
+    else:
+        rng = np.random.default_rng(n)
+        s = make_scenario(rng.uniform(0.1, 5.0, n), rng.uniform(-20.0, 20.0, n), [30.0, 12.5],
+                          p_init=rng.uniform(-5.0, 20.0, n), beta=0.7)
+        cfg = ControllerConfig(ControllerKind.PROPORTIONAL_INTEGRAL, s.gain_K, s.tau)
+        trace = simulate(s, cfg, h=0.1, t_end=3.0, events=[(1.0, (33.0, 1e-3))])
+    sink = io.StringIO()
+    write_trace_csv(trace, sink)
+    assert sink.getvalue() == _reference_simulation_csv(trace)
 
 
 def test_write_trace_csv_rejects_unknown_types():
@@ -403,14 +434,15 @@ def test_nan_solver_block_exit_2(tmp_path, capsys):
 
 
 def test_nan_iterate_output_is_strict_json(scenario_file, capsys):
-    # A NaN step size drives the price to NaN: the run diverges, and the
-    # NaN fields are written as null.
+    # A finite step size at the top of the float range overflows the price:
+    # the run diverges, and the non-finite fields are written as null. (A
+    # NaN --alpha is refused before the run; see test_non_finite_solver_flag_exit_1.)
     code = run_command(["iterate", scenario_file, "--method", "dual",
-                        "--alpha", "nan", "--lambda0", "0"])
+                        "--alpha", "1e308", "--lambda0", "0"])
     assert code == 3
     payload = _strict_json(capsys.readouterr().out)
     assert payload["stop_reason"] == "diverged"
-    assert payload["alpha"] is None and payload["lambda"] is None
+    assert payload["alpha"] == 1e308 and payload["lambda"] is None
 
 
 def test_infinite_t_end_in_file_exit_2(tmp_path, capsys):
@@ -431,3 +463,42 @@ def test_non_finite_grid_flag_exit_1(scenario_file, capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["iterate", "--method", "dual", "--tol", "nan", "--lambda0", "0"], "--tol"),
+    (["iterate", "--method", "mom", "--rho", "inf", "--lambda0", "0"], "--rho"),
+    (["iterate", "--method", "dual", "--alpha", "nan", "--lambda0", "0"], "--alpha"),
+    (["iterate", "--method", "dual", "--max-iter", "0"], "--max-iter"),
+    (["compare", "--alpha", "nan"], "--alpha"),
+    (["compare", "--rho", "-1"], "--rho"),
+    (["sweep", "--param", "K", "--values", "1", "--tol", "inf"], "--tol"),
+    (["equivalence", "--pair", "dual-integral", "--lambda0", "nan"], "--lambda0"),
+])
+def test_non_finite_solver_flag_exit_1(scenario_file, capsys, argv, flag):
+    code = run_command([argv[0], scenario_file, *argv[1:]])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be ")
+
+
+def test_solver_flags_override_the_file_block(tmp_path, capsys):
+    path = tmp_path / "solver.json"
+    path.write_text(reference_text(solver={"alpha": 0.5, "tol": 1e-3, "lambda0": 0.0}))
+    assert run_command(["iterate", str(path), "--method", "dual", "--tol", "1e-9"]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["alpha"] == 0.5
+    assert payload["converged"] is True and abs(payload["imbalance"]) < 1e-9
+    assert run_command(["compare", str(path), "--alpha", "0.25"]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["alpha"] == 0.25 and payload["rho"] == 1.0 / 1.5
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "-0.5", "1e-6"])
+def test_bad_oracle_grid_step_exit_1(scenario_file, capsys, step):
+    code = run_command(["dispatch", scenario_file, "--oracle", "--grid-step", step])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: grid_step ")

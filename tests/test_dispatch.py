@@ -1,8 +1,11 @@
 """Dispatch solvers: closed form vs oracle vs both iterations."""
 
+import math
+
 import numpy as np
 import pytest
 
+import freqdispatch.dispatch as dispatch
 from freqdispatch import (
     StopReason,
     aggregate_power_slope,
@@ -100,6 +103,21 @@ def test_brute_force_rejects_bad_inputs():
         brute_force_dispatch(s5, 0.1)
     with pytest.raises(ValueError):
         brute_force_dispatch(make_scenario([1.0], [0.0], [5.0]), 0.0)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, -0.1])
+def test_brute_force_rejects_non_finite_grid_step(scenario_r, step):
+    with pytest.raises(ValueError, match="grid_step must be finite and > 0"):
+        brute_force_dispatch(scenario_r, step)
+
+
+def test_brute_force_caps_grid_points(scenario_r, monkeypatch):
+    # The reference demand D = 10 spans [-20, 20]: a step of 40/(m-1) gives m points.
+    monkeypatch.setattr(dispatch, "MAX_GRID_POINTS", 1001)
+    sol = brute_force_dispatch(scenario_r, 40.0 / 1000)
+    assert sol.p == pytest.approx((7.0, 3.0), abs=0.04)
+    with pytest.raises(ValueError, match="grid_step 0.03996003996003996 gives more than 1001"):
+        brute_force_dispatch(scenario_r, 40.0 / 1001)
 
 
 # ---------------------------------------------------------------------------

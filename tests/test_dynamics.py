@@ -1,6 +1,8 @@
 """Closed-loop dynamics: rhs laws, integrators, simulation, settling."""
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from freqdispatch import (
     step_euler,
     step_rk4,
 )
+from freqdispatch.cli import ScenarioFileError, parse_scenario_file
 
 from conftest import make_scenario, reference_scenario
 
@@ -183,26 +186,24 @@ def test_stepper_guards(scenario_r):
 def test_simulate_reference_load_step(scenario_r):
     trace = simulate(scenario_r, _cfg(INTEGRAL, scenario_r), QuasiStatic(1.5),
                      h=0.001, t_end=20.0, events=[(1.0, (7.2, 4.8))])
-    last = trace.samples[-1]
     target = (25.0 / 3.0, 11.0 / 3.0)
-    assert abs(last.delta_f) < 1e-6
-    for x, y in zip(last.p, target):
+    assert abs(trace.delta_f[-1]) < 1e-6
+    for x, y in zip(trace.p[-1], target):
         assert abs(x - y) < 1e-6
 
 
 def test_simulate_pi_reaches_same_point(scenario_r):
     trace = simulate(scenario_r, _cfg(PI, scenario_r), QuasiStatic(1.5),
                      h=0.01, t_end=40.0, events=[(1.0, (7.2, 4.8))])
-    last = trace.samples[-1]
-    for x, y in zip(last.p, (25.0 / 3.0, 11.0 / 3.0)):
+    for x, y in zip(trace.p[-1], (25.0 / 3.0, 11.0 / 3.0)):
         assert abs(x - y) < 1e-6
-    assert abs(last.delta_f) < 1e-6
+    assert abs(trace.delta_f[-1]) < 1e-6
 
 
 def test_simulate_equilibrium_is_constant(scenario_r):
     trace = simulate(scenario_r, _cfg(INTEGRAL, scenario_r), h=0.01, t_end=1.0)
-    assert all(st.p == (7.0, 3.0) for st in trace.samples)
-    assert all(st.delta_f == 0.0 for st in trace.samples)
+    assert all(tuple(row) == (7.0, 3.0) for row in trace.p.tolist())
+    assert all(df == 0.0 for df in trace.delta_f.tolist())
 
 
 def test_simulate_quasi_static_consistency(scenario_r):
@@ -211,10 +212,10 @@ def test_simulate_quasi_static_consistency(scenario_r):
     trace = simulate(s, _cfg(INTEGRAL, s), QuasiStatic(1.5), h=0.01, t_end=5.0,
                      events=[(2.0, (7.2, 4.8))])
     current = 10.0
-    for st in trace.samples:
-        if st.t >= 2.0 - 0.005:
+    for t, p, df in zip(trace.t.tolist(), trace.p.tolist(), trace.delta_f.tolist()):
+        if t >= 2.0 - 0.005:
             current = 12.0
-        assert abs(st.delta_f - (sum(st.p) - current) / 1.5) <= 1e-12
+        assert abs(df - (sum(p) - current) / 1.5) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", [INTEGRAL, PI])
@@ -226,8 +227,8 @@ def test_marginal_cost_spread_is_conserved(kind):
     gens = s.generators
     spread0 = None
     worst = 0.0
-    for st in trace.samples:
-        m = [marginal_cost(g.cost, p) for g, p in zip(gens, st.p)]
+    for row in trace.p.tolist():
+        m = [marginal_cost(g.cost, p) for g, p in zip(gens, row)]
         spread = m[0] - m[1]
         if spread0 is None:
             spread0 = spread
@@ -259,6 +260,27 @@ def test_simulate_rejects_bad_events(scenario_r):
         simulate(scenario_r, cfg, h=0.01, t_end=1.0, events=[(5.0, (7.0, 5.0))])
 
 
+@pytest.mark.parametrize("events, where, message", [
+    ([(-0.5, (7.0, 5.0))], "events[0].time", "must be finite and >= 0"),
+    ([(0.5, (7.0, 5.0)), (0.2, (6.0, 4.0))], "events[1].time", "events must be sorted by time"),
+    ([(0.5, (7.0,))], "events[0].loads", "expected 2 loads, got 1"),
+    ([(0.5, (math.inf, 5.0))], "events[0].loads", "loads must be finite"),
+])
+def test_event_rules_are_shared_with_the_file_parser(scenario_r, events, where, message):
+    with pytest.raises(ValueError) as lib:
+        simulate(scenario_r, _cfg(INTEGRAL, scenario_r), h=0.01, t_end=1.0, events=events)
+    assert str(lib.value) == f"{where}: {message}"
+    block = {"controller": "integral",
+             "events": [{"time": t, "loads": list(loads)} for t, loads in events]}
+    text = json.dumps({"format_version": 1, "simulation": block, "scenario": {
+        "generators": [{"id": "G1", "cost": {"a": 0.5, "b": 1.0}},
+                       {"id": "G2", "cost": {"a": 1.0, "b": 2.0}}],
+        "loads": [6.0, 4.0], "gain_K": 1.0, "beta": 1.5, "tau": 1.0}})
+    with pytest.raises(ScenarioFileError) as parsed:
+        parse_scenario_file(text)
+    assert str(parsed.value) == f"simulation.{where}: {message}"
+
+
 def test_simulate_rejects_pi_with_inertial_model(scenario_r):
     with pytest.raises(ValueError):
         simulate(scenario_r, _cfg(PI, scenario_r), Inertial(1.5, 3.0),
@@ -288,21 +310,56 @@ def test_simulate_rejects_event_far_beyond_t_end(scenario_r):
                  events=[(1e300, (7.2, 4.8))])
 
 
+@pytest.mark.parametrize("method, stepper", [("rk4", step_rk4), ("euler", step_euler)])
+@pytest.mark.parametrize("kind, rhs, model", [
+    (INTEGRAL, integral_rhs, QuasiStatic(1.5)),
+    (PI, pi_rhs, QuasiStatic(1.5)),
+    (INTEGRAL, integral_rhs, Inertial(1.5, 3.0)),
+])
+def test_simulate_columns_match_public_steppers(method, stepper, kind, rhs, model):
+    # The run simulate stores, rebuilt one public step at a time: the load
+    # steps at sample 10, where the quasi-static deviation is recomputed at
+    # the new load and the inertial one carries over.
+    s = make_scenario([0.5, 1.0, 2.0], [1.0, 2.0, 3.0], [6.0, 4.0],
+                      p_init=[4.0, 3.0, 2.0], beta=1.5)
+    cfg = _cfg(kind, s)
+    h, n_steps, new_loads = 0.05, 30, (7.2, 4.8)
+    trace = simulate(s, cfg, model, h=h, t_end=n_steps * h,
+                     events=[(10 * h, new_loads)], method=method)
+
+    quasi_static = isinstance(model, QuasiStatic)
+    p0 = (4.0, 3.0, 2.0)
+    state = SimState(0.0, p0, frequency_deviation(p0, sum(s.loads), 1.5) if quasi_static else 0.0)
+    current = s
+    states = [state]
+    for i in range(1, n_steps + 1):
+        nxt = stepper(rhs, state, current, cfg, h, model)
+        delta_f = nxt.delta_f
+        if i == 10:
+            current = replace(current, loads=new_loads)
+            if quasi_static:
+                delta_f = frequency_deviation(nxt.p, sum(new_loads), 1.5)
+        state = SimState(i * h, nxt.p, delta_f)
+        states.append(state)
+
+    assert trace.t.tolist() == [st.t for st in states]
+    assert trace.p.tolist() == [list(st.p) for st in states]
+    assert trace.delta_f.tolist() == [st.delta_f for st in states]
+
+
 def test_inertial_model_reaches_same_equilibrium(scenario_r):
     trace = simulate(scenario_r, _cfg(INTEGRAL, scenario_r), Inertial(1.5, 3.0),
                      h=0.01, t_end=60.0, events=[(1.0, (7.2, 4.8))])
-    last = trace.samples[-1]
-    assert abs(last.delta_f) < 1e-6
-    for x, y in zip(last.p, (25.0 / 3.0, 11.0 / 3.0)):
+    assert abs(trace.delta_f[-1]) < 1e-6
+    for x, y in zip(trace.p[-1], (25.0 / 3.0, 11.0 / 3.0)):
         assert abs(x - y) < 1e-5
 
 
 def test_inertial_equilibrium_holds(scenario_r):
     trace = simulate(scenario_r, _cfg(INTEGRAL, scenario_r), Inertial(2.0, 1.0),
                      h=0.01, t_end=1.0)
-    last = trace.samples[-1]
-    assert last.p == pytest.approx((7.0, 3.0), abs=1e-12)
-    assert abs(last.delta_f) <= 1e-12
+    assert tuple(trace.p[-1]) == pytest.approx((7.0, 3.0), abs=1e-12)
+    assert abs(trace.delta_f[-1]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +367,10 @@ def test_inertial_equilibrium_holds(scenario_r):
 
 def _manual_trace(times, deltas, events=()):
     s = reference_scenario()
-    samples = tuple(SimState(t, (7.0, 3.0), df) for t, df in zip(times, deltas))
+    p = np.tile((7.0, 3.0), (len(times), 1))
     evs = tuple(LoadEvent(t, (7.2, 4.8)) for t in events)
-    return SimulationTrace(samples, evs, _cfg(INTEGRAL, s), QuasiStatic(1.5), s)
+    return SimulationTrace(np.array(times, dtype=float), p, np.array(deltas, dtype=float),
+                           evs, _cfg(INTEGRAL, s), QuasiStatic(1.5), s)
 
 
 def test_settling_time_never_exceeds_band():

@@ -75,7 +75,7 @@ def test_simulate_computes_gains_once_per_run(monkeypatch, kind):
     calls = _count_gain_calls(monkeypatch)
     trace = simulate(s, ControllerConfig(kind, s.gain_K, s.tau), h=0.01, t_end=5.0,
                      events=[(1.0, (7.2, 4.8))])
-    assert len(trace.samples) == 501
+    assert len(trace.t) == 501
     assert len(calls) <= len(s.generators)
 
 
@@ -94,7 +94,7 @@ def test_sample_times_lie_on_the_grid(method):
     h = 0.01
     trace = simulate(s, ControllerConfig(PI, s.gain_K, s.tau), h=h, t_end=3.0,
                      events=[(1.0, (7.2, 4.8))], method=method)
-    assert all(st.t == i * h for i, st in enumerate(trace.samples))
+    assert all(t == i * h for i, t in enumerate(trace.t.tolist()))
 
 
 def test_reference_settling_times_are_exact():
