@@ -308,6 +308,9 @@ def serialize_scenario_file(sf: ScenarioFile) -> str:
 # ---------------------------------------------------------------------------
 # CSV traces
 
+_CSV_BLOCK_ROWS = 32  # simulation CSV rows formatted per block
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -339,10 +342,13 @@ def _write_simulation_csv(trace: SimulationTrace, sink) -> None:
         + [f"marginal_cost_{i + 1}" for i in range(n)]
     sink.write(",".join(header) + "\n")
     a, b = np.array([(g.cost.a, g.cost.b) for g in gens]).reshape(n, 2).T
-    # 2*a*p + b, the operations of model.marginal_cost; "%.17g" is format(x, ".17g")
-    table = np.column_stack([trace.t, trace.p, trace.delta_f, 2.0 * a * trace.p + b])
-    row = ",".join(["%.17g"] * (2 * n + 2)) + "\n"
-    sink.writelines(row % tuple(values.tolist()) for values in table)
+    row = ",".join(["%.17g"] * (2 * n + 2)) + "\n"  # "%.17g" is format(x, ".17g")
+    for i in range(0, len(trace.t), _CSV_BLOCK_ROWS):  # one block of rows in memory at a time
+        block = slice(i, i + _CSV_BLOCK_ROWS)
+        p = trace.p[block]
+        # 2*a*p + b, the operations of model.marginal_cost
+        table = np.column_stack([trace.t[block], p, trace.delta_f[block], 2.0 * a * p + b])
+        sink.writelines(row % tuple(values.tolist()) for values in table)
 
 
 def _write_sweep_csv(records, sink) -> None:
@@ -587,7 +593,7 @@ def _cmd_compare(args) -> int:
     sf = _read_file(args.file)
     opts = _solver_opts(args, sf.scenario, sf.solver)
     report = compare_convergence(sf.scenario, opts.alpha, opts.rho, opts.tol,
-                                 lambda0=opts.lambda0)
+                                 max_iter=opts.max_iter, lambda0=opts.lambda0)
     _emit({
         "alpha": opts.alpha,
         "rho": opts.rho,
@@ -602,7 +608,8 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     sf = _read_file(args.file)
     opts = _solver_opts(args, sf.scenario, sf.solver)
-    records = sweep(sf.scenario, args.param, args.values, opts.tol, lambda0=opts.lambda0)
+    records = sweep(sf.scenario, args.param, args.values, opts.tol,
+                    max_iter=opts.max_iter, lambda0=opts.lambda0)
     _emit({
         "parameter": args.param,
         "records": [{
@@ -622,7 +629,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_equivalence(args) -> int:
     sf = _read_file(args.file)
     pair = EquivalencePair(args.pair)
-    lambda0 = _solver_opts(args, sf.scenario, None).lambda0  # the file's solver block is not read
+    lambda0 = _solver_opts(args, sf.scenario, sf.solver).lambda0  # --lambda0 over solver.lambda0
     report = check_euler_equivalence(sf.scenario, pair, args.steps, lambda0)
     _emit({"pair": report.pair, "steps": report.steps,
            "max_abs_deviation": report.max_abs_deviation})

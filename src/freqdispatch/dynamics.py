@@ -116,14 +116,20 @@ def frequency_deviation(p, d_total: float, beta: float) -> float:
     return (sum(p) - d_total) / beta
 
 
-def _law(s: Scenario, cfg: ControllerConfig):
-    """rhs(state) = -g * delta_f with g_i = K/(2 a_i tau), times beta/(beta + K S) for PI.
+def _gains(s: Scenario, cfg: ControllerConfig) -> np.ndarray:
+    """g with dP/dt = -g * delta_f: g_i = K/(2 a_i tau), times beta/(beta + K S) for PI.
 
     Loads do not enter g, so one run computes it once and steps with the result.
     """
     g = np.array([integral_gain(gen.cost, cfg.gain_K, cfg.tau) for gen in s.generators])
     if cfg.kind is ControllerKind.PROPORTIONAL_INTEGRAL:
         g *= s.beta / (s.beta + cfg.gain_K * _rank_one(s)[1])
+    return g
+
+
+def _law(s: Scenario, cfg: ControllerConfig):
+    """rhs(state) = -g * delta_f with the gains of ``_gains``."""
+    g = _gains(s, cfg)
     return lambda state, *_: -g * state.delta_f
 
 
@@ -237,18 +243,54 @@ def _check_events(events, n_loads: int, error=lambda where, why: ValueError(f"{w
     return tuple(out)
 
 
+def _exact(g: np.ndarray, beta: float, p0: np.ndarray, t: np.ndarray,
+           demand: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The QuasiStatic closed form dP/dt = -g * (sum(p) - D) / beta sampled at ``t``.
+
+    ``demand`` maps each sample where a load takes effect (0 always) to the total
+    load from there on. Per segment, one numpy expression: the imbalance decays at
+    rate sum(g)/beta and every unit moves along g/sum(g) = w/S.
+    """
+    shape, rate = g / g.sum(), float(g.sum()) / beta
+    p = np.empty((len(t), len(p0)))
+    delta_f = np.empty(len(t))
+    p[0] = p0
+    marks = sorted(demand)
+    for a, b in zip(marks, marks[1:] + [len(t) - 1]):  # segment a..b, continuous at b
+        d = demand[a]
+        decay = -np.expm1(-rate * (t[a:b + 1] - t[a]))
+        p[a:b + 1] = p[a] - np.outer(decay, shape * (float(p[a].sum()) - d))
+        delta_f[a:b + 1] = (p[a:b + 1].sum(axis=1) - d) / beta
+    return p, delta_f
+
+
 def simulate(s: Scenario, cfg: ControllerConfig,
              model: FrequencyModel | None = None, *, h: float, t_end: float,
              events=(), method: str = "rk4") -> SimulationTrace:
-    """Integrate the closed loop from the generators' initial outputs.
+    """Run the closed loop from the generators' initial outputs.
 
     Row i of the trace's columns is the sample at t = i*h, i = 0 .. round(t_end/h).
     Load-step events are snapped to the nearest step of the fixed grid and
-    applied at that sample. ``method`` selects the integrator ("rk4" or
-    "euler"); use "euler" with h equal to the scenario tau to reproduce the
-    discrete solver iterates exactly. Under Inertial the deviation starts at
-    zero and is integrated; the PI controller requires the QuasiStatic model
-    because its law closes through that relation.
+    applied at that sample: p is continuous there and delta_f uses the new
+    load. ``method`` selects the propagator:
+
+    - "rk4" (the default) and "euler" are fixed-step integrators; use "euler"
+      with h equal to the scenario tau to reproduce the discrete solver
+      iterates exactly.
+    - "exact" samples the closed-form trajectory, QuasiStatic only (Inertial
+      raises ValueError). The loop is linear with rank-one coupling, so
+      between load samples t_k the imbalance e = sum(p) - D_k decays as one
+      exponential and every unit moves along w/S, w = 1/(2a), S = sum(w):
+
+          p(t) = p_k - (w/S) * e_k * (1 - exp(-r (t - t_k)))
+          delta_f = (sum(p) - D_k) / beta
+
+      with r = K*S/(tau*beta) for integral control and K*S/(tau*(beta + K*S))
+      for PI. It matches RK4 to its truncation error at a fraction of the cost.
+
+    Under Inertial the deviation starts at zero and is integrated; the PI
+    controller requires the QuasiStatic model because its law closes through
+    that relation.
     """
     if h <= 0:
         raise ValueError("h must be > 0")
@@ -256,15 +298,18 @@ def simulate(s: Scenario, cfg: ControllerConfig,
         raise ValueError("h, t_end and t_end/h must be finite")
     if t_end <= h:
         raise ValueError("t_end must exceed h")
-    if method not in ("euler", "rk4"):
+    if method not in ("euler", "rk4", "exact"):
         raise ValueError(f"unknown integration method {method!r}")
     if model is None:
         model = QuasiStatic(s.beta)
-    if cfg.kind is ControllerKind.PROPORTIONAL_INTEGRAL and not isinstance(model, QuasiStatic):
-        raise ValueError("the PI controller requires the QuasiStatic frequency model")
+    if not isinstance(model, QuasiStatic):
+        if cfg.kind is ControllerKind.PROPORTIONAL_INTEGRAL:
+            raise ValueError("the PI controller requires the QuasiStatic frequency model")
+        if method == "exact":
+            raise ValueError("the exact method requires the QuasiStatic frequency model")
+    elif model.beta <= 0:
+        raise ValueError("beta must be > 0")
 
-    rhs = _law(s, cfg)
-    advance = _rk4 if method == "rk4" else _euler
     n_steps = int(round(t_end / h))
     snapped: list[LoadEvent] = []
     by_index: dict[int, tuple[float, ...]] = {}
@@ -275,9 +320,17 @@ def simulate(s: Scenario, cfg: ControllerConfig,
         by_index[idx] = ev.loads  # events snapping to the same step: last wins
         snapped.append(LoadEvent(idx * h, ev.loads))
     n = len(s.generators)
-
-    loop = _closure(rhs, replace(s, loads=by_index[0]) if 0 in by_index else s, cfg, model)
+    t = np.arange(n_steps + 1) * h  # i*h, since summing h drifts off the grid
     p0 = tuple(float(g.p_init) for g in s.generators)
+
+    if method == "exact":
+        demand = {0: total_load(s)} | {i: sum(loads) for i, loads in by_index.items()}
+        p, delta_f = _exact(_gains(s, cfg), model.beta, np.array(p0), t, demand)
+        return SimulationTrace(t, p, delta_f, tuple(snapped), cfg, model, s)
+
+    rhs = _law(s, cfg)
+    advance = _rk4 if method == "rk4" else _euler
+    loop = _closure(rhs, replace(s, loads=by_index[0]) if 0 in by_index else s, cfg, model)
     state = loop.unpack(0.0, loop.pack(SimState(0.0, p0, 0.0)))  # Inertial starts at delta_f = 0
     p = np.empty((n_steps + 1, n))
     delta_f = np.empty(n_steps + 1)
@@ -290,7 +343,6 @@ def simulate(s: Scenario, cfg: ControllerConfig,
         state = loop.unpack(i * h, y)
         p[i], delta_f[i] = y[:n], state.delta_f
 
-    t = np.arange(n_steps + 1) * h  # i*h, since summing h drifts off the grid
     return SimulationTrace(t, p, delta_f, tuple(snapped), cfg, model, s)
 
 

@@ -176,7 +176,10 @@ def compare_convergence(s: Scenario, alpha: float, rho: float,
 
     so the PI loop is the slower one for every positive K, S, beta, and
     each settling time is tau + ln(|delta_f0|/settle_eps)/rate to within
-    one step h.
+    one step h. Both runs sample that closed form on the grid
+    (``simulate(..., method="exact")``, QuasiStatic only) instead of
+    integrating it; the settling times are sample times, the same as an
+    RK4 run's unless a sample lies within RK4's error of settle_eps.
     """
     if alpha <= 0 or rho <= 0:
         raise ValueError("alpha and rho must be > 0")
@@ -193,7 +196,7 @@ def compare_convergence(s: Scenario, alpha: float, rho: float,
     settle = {}
     for kind in (ControllerKind.INTEGRAL, ControllerKind.PROPORTIONAL_INTEGRAL):
         cfg = ControllerConfig(kind, s.gain_K, s.tau)
-        trace = simulate(start, cfg, model, h=h, t_end=t_end, events=events)
+        trace = simulate(start, cfg, model, h=h, t_end=t_end, events=events, method="exact")
         settle[kind] = settling_time(trace, settle_eps)
 
     return ConvergenceReport(

@@ -14,6 +14,7 @@ from freqdispatch import (
     dual_ascent_solve,
     simulate,
 )
+from freqdispatch import cli
 from freqdispatch.cli import (
     ScenarioFileError,
     parse_scenario_file,
@@ -244,6 +245,19 @@ def test_simulation_csv_matches_row_by_row_reference(n):
                           p_init=rng.uniform(-5.0, 20.0, n), beta=0.7)
         cfg = ControllerConfig(ControllerKind.PROPORTIONAL_INTEGRAL, s.gain_K, s.tau)
         trace = simulate(s, cfg, h=0.1, t_end=3.0, events=[(1.0, (33.0, 1e-3))])
+    sink = io.StringIO()
+    write_trace_csv(trace, sink)
+    assert sink.getvalue() == _reference_simulation_csv(trace)
+
+
+def test_simulation_csv_blocks_match_row_by_row_reference():
+    # a row count that is not a multiple of the writer's block size
+    s = make_scenario([0.5, 1.0, 2.0], [1.0, 2.0, -3.0], [6.0, 4.0],
+                      p_init=[4.0, 3.0, 2.0], beta=1.5)
+    rows = 2 * cli._CSV_BLOCK_ROWS + 3
+    cfg = ControllerConfig(ControllerKind.INTEGRAL, s.gain_K, s.tau)
+    trace = simulate(s, cfg, h=0.1, t_end=(rows - 1) * 0.1, events=[(3.0, (7.2, 4.8))])
+    assert len(trace.t) == rows and rows % cli._CSV_BLOCK_ROWS != 0
     sink = io.StringIO()
     write_trace_csv(trace, sink)
     assert sink.getvalue() == _reference_simulation_csv(trace)
@@ -493,6 +507,46 @@ def test_solver_flags_override_the_file_block(tmp_path, capsys):
     assert run_command(["compare", str(path), "--alpha", "0.25"]) == 0
     payload = _strict_json(capsys.readouterr().out)
     assert payload["alpha"] == 0.25 and payload["rho"] == 1.0 / 1.5
+
+
+ONE_ITERATION = {"max_iter": 1, "alpha": 0.5, "lambda0": 0}
+
+
+def test_compare_reads_solver_max_iter(tmp_path, capsys):
+    path = tmp_path / "solver.json"
+    path.write_text(reference_text(solver=ONE_ITERATION))
+    assert run_command(["compare", str(path)]) == 0
+    dual = _strict_json(capsys.readouterr().out)["dual"]
+    assert dual["iterations"] == 1
+    assert dual["converged"] is False and dual["stop_reason"] == "max_iterations"
+
+
+def test_sweep_reads_solver_max_iter(tmp_path, capsys):
+    path = tmp_path / "solver.json"
+    path.write_text(reference_text(solver=ONE_ITERATION))
+    assert run_command(["sweep", str(path), "--param", "K", "--values", "1.0"]) == 0
+    (record,) = _strict_json(capsys.readouterr().out)["records"]
+    # at alpha = rho = K/beta dual ascent is deadbeat and MoM halves the imbalance
+    assert record["dual"]["iterations"] == 1 and record["dual"]["converged"] is True
+    assert record["mom"]["iterations"] == 1
+    assert record["mom"]["stop_reason"] == "max_iterations"
+
+
+def test_equivalence_reads_solver_lambda0(tmp_path, capsys, monkeypatch):
+    seen = []
+    original = cli.check_euler_equivalence
+
+    def recording(s, pair, steps, lambda0=None):
+        seen.append(lambda0)
+        return original(s, pair, steps, lambda0)
+
+    monkeypatch.setattr(cli, "check_euler_equivalence", recording)
+    path = tmp_path / "solver.json"
+    path.write_text(reference_text(solver={"lambda0": 2.5}))
+    assert run_command(["equivalence", str(path), "--pair", "mom-pi"]) == 0
+    assert run_command(["equivalence", str(path), "--pair", "mom-pi", "--lambda0", "0"]) == 0
+    assert seen == [2.5, 0.0]  # the flag overrides the block
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("step", ["nan", "inf", "-0.5", "1e-6"])

@@ -297,6 +297,35 @@ def test_simulate_guards(scenario_r):
         simulate(scenario_r, cfg, h=0.01, t_end=1.0, method="leapfrog")
 
 
+@pytest.mark.parametrize("method", ["Exact", "RK4", ""])
+def test_simulate_refuses_unknown_methods(scenario_r, method):
+    with pytest.raises(ValueError, match="unknown integration method"):
+        simulate(scenario_r, _cfg(INTEGRAL, scenario_r), h=0.01, t_end=1.0, method=method)
+
+
+def test_exact_method_requires_quasi_static(scenario_r):
+    with pytest.raises(ValueError, match="QuasiStatic"):
+        simulate(scenario_r, _cfg(INTEGRAL, scenario_r), Inertial(1.5, 3.0),
+                 h=0.01, t_end=1.0, method="exact")
+    with pytest.raises(ValueError, match="beta must be > 0"):
+        simulate(scenario_r, _cfg(INTEGRAL, scenario_r), QuasiStatic(-1.5),
+                 h=0.01, t_end=1.0, method="exact")
+
+
+@pytest.mark.parametrize("kind, rate", [(INTEGRAL, 1.0), (PI, 0.5)])
+def test_exact_method_is_the_closed_form(scenario_r, kind, rate):
+    # From the optimum, a 20% load step at t = 1 gives delta_f = -4/3 exp(-rate (t - 1)):
+    # K S/(tau beta) = 1.5/1.5 and K S/(tau (beta + K S)) = 1.5/3 on the reference case.
+    trace = simulate(scenario_r, _cfg(kind, scenario_r), h=0.01, t_end=30.0,
+                     events=[(1.0, (7.2, 4.8))], method="exact")
+    t = trace.t
+    want = np.where(t < 1.0 - 1e-9, 0.0, -4.0 / 3.0 * np.exp(-rate * (t - 1.0)))
+    assert np.max(np.abs(trace.delta_f - want)) <= 1e-12
+    # each unit takes its share w/S = (1, 0.5)/1.5 of the imbalance -2 MW closed so far
+    closed = -2.0 * -np.expm1(-rate * 29.0)
+    assert np.max(np.abs(trace.p[-1] - [7.0 - closed / 1.5, 3.0 - 0.5 * closed / 1.5])) <= 1e-12
+
+
 @pytest.mark.parametrize("h, t_end", [(0.01, math.inf), (math.inf, 1.0), (math.nan, 1.0),
                                       (0.01, math.nan), (1e-300, 1e10)])
 def test_simulate_rejects_non_finite_grid(scenario_r, h, t_end):

@@ -14,13 +14,17 @@ from freqdispatch import (
     compare_convergence,
     dual_ascent_solve,
     empirical_ratio,
+    settling_time,
     simulate,
     stability_bound_alpha,
     sweep,
     verify_steady_state_optimality,
 )
 
-from conftest import economic_start, make_scenario
+from freqdispatch import dynamics
+from freqdispatch.model import total_load
+
+from conftest import economic_start, make_scenario, random_scenarios, reference_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +97,31 @@ def test_compare_reports_divergence_without_raising(scenario_r):
     assert not report.dual.converged
     assert report.mom.converged
     assert report.mom.empirical_ratio == pytest.approx(1.0 / 5.5, abs=1e-9)
+
+
+def _no_rk4(*args, **kwargs):
+    raise AssertionError("compare_convergence must not integrate with RK4")
+
+
+def test_compare_convergence_needs_no_rk4(monkeypatch, scenario_r):
+    monkeypatch.setattr(dynamics, "_rk4", _no_rk4)
+    report = compare_convergence(scenario_r, 2.0 / 3.0, 2.0 / 3.0, 1e-6, lambda0=0.0)
+    assert report.settling_integral == pytest.approx(10.50, abs=1e-9)
+    assert report.settling_pi == pytest.approx(20.00, abs=1e-9)
+
+
+# the reference scenario and four of the shared random ones: two 10,000-step
+# RK4 runs each, so the whole random suite would double the test time
+@pytest.mark.parametrize("s", [reference_scenario(), *random_scenarios(count=4)],
+                         ids=["reference", *(f"random{i}" for i in range(4))])
+def test_compare_settling_matches_rk4_runs(s):
+    report = compare_convergence(s, s.gain_K / s.beta, s.gain_K / s.beta, 1e-6)
+    events = [(s.tau, tuple(1.2 * x for x in s.loads))]  # compare_convergence's load step
+    for kind, got in ((ControllerKind.INTEGRAL, report.settling_integral),
+                      (ControllerKind.PROPORTIONAL_INTEGRAL, report.settling_pi)):
+        trace = simulate(economic_start(s), _cfg(kind, s), QuasiStatic(s.beta),
+                         h=s.tau / 100.0, t_end=100.0 * s.tau, events=events, method="rk4")
+        assert got == settling_time(trace, 1e-4), (kind, total_load(s))
 
 
 def test_compare_rejects_nonpositive_steps(scenario_r):
@@ -191,7 +220,6 @@ def test_sweep_rejects_bad_values(scenario_r):
 def test_steady_state_randomized_economic_runs():
     # Economic start plus a 20% load step: every run must land on the new
     # optimum once simulated past the slowest closed-loop time constant.
-    from conftest import random_scenarios
     for s in random_scenarios(count=5):
         slope = sum(1.0 / (2.0 * g.cost.a) for g in s.generators)
         s = make_scenario([g.cost.a for g in s.generators],
