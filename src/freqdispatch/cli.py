@@ -431,7 +431,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda0", type=float)
     p.add_argument("--out-csv")
 
-    p = sub.add_parser("simulate", help="integrate the continuous closed loop")
+    p = sub.add_parser("simulate", help="sample the exact trajectory of the continuous closed loop")
     p.add_argument("file")
     p.add_argument("--controller", required=True, choices=["integral", "pi"])
     p.add_argument("--h", type=float)

@@ -23,6 +23,7 @@ __all__ = [
     "IterState",
     "IterationTrace",
     "MAX_GRID_POINTS",
+    "MAX_GRID_POINTS_N4",
     "StopReason",
     "aggregate_power_slope",
     "analytic_dispatch",
@@ -47,6 +48,11 @@ DIVERGENCE_FACTOR = 1e9
 # Largest grid brute_force_dispatch builds per output (8 MB of float64), so a
 # tiny grid_step is refused instead of exhausting memory.
 MAX_GRID_POINTS = 1_000_000
+
+# At N = 4 the oracle's time grows with the square of the point count (one
+# tail search per point; 8,001 points take about 2.5 s on one x86 core), so its
+# cap is lower.
+MAX_GRID_POINTS_N4 = 8_001
 
 
 class StopReason(Enum):
@@ -118,9 +124,10 @@ def brute_force_dispatch(s: Scenario, grid_step: float) -> DispatchSolution:
     The first N-1 outputs range over a uniform grid on [-2D, 2D]; the last
     output is fixed by the balance constraint. Returns the grid point of
     minimum total cost. Exponential in N, so N > 4 is refused, and so is a
-    grid of more than MAX_GRID_POINTS points. The reported price is the
-    mean of the marginal costs at the grid optimum (the grid point itself
-    carries no exact multiplier).
+    grid of more than MAX_GRID_POINTS points (MAX_GRID_POINTS_N4 at N = 4,
+    where the time grows with the square of the point count). The reported
+    price is the mean of the marginal costs at the grid optimum (the grid
+    point itself carries no exact multiplier).
     """
     n = len(s.generators)
     if n > 4:
@@ -137,10 +144,12 @@ def brute_force_dispatch(s: Scenario, grid_step: float) -> DispatchSolution:
     else:
         lo, hi = -2.0 * abs(d), 2.0 * abs(d)
         # ceil so the grid covers the full range even for non-divisor steps
-        npts = math.ceil(min((hi - lo) / grid_step - 1e-9, MAX_GRID_POINTS)) + 1
-        if npts > MAX_GRID_POINTS:
-            raise ValueError(f"grid_step {grid_step!r} gives more than {MAX_GRID_POINTS} "
-                             "grid points on [-2D, 2D]; use a larger grid_step")
+        cap = MAX_GRID_POINTS_N4 if n == 4 else MAX_GRID_POINTS
+        npts = math.ceil(min((hi - lo) / grid_step - 1e-9, cap)) + 1
+        if npts > cap:
+            raise ValueError(f"grid_step {grid_step!r} gives more than {cap} "
+                             f"grid points on [-2D, 2D] for {n} generators; "
+                             "use a larger grid_step")
         grid = lo + grid_step * np.arange(npts)
 
         if n == 2:

@@ -1,4 +1,7 @@
-"""Continuous-time closed loop: frequency models, controllers, integrators.
+"""Continuous-time closed loop: frequency models, controllers, exact propagation.
+
+``simulate`` samples the loop's closed-form trajectory; ``step_euler`` and
+``step_rk4`` are public one-step integrators of the same loop.
 
 The controllers are the continuous counterparts of the two dispatch
 iterations. With cost-derived gains K/(2*a_i*tau), integral control is
@@ -10,8 +13,7 @@ asserts both identities step for step.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,17 +129,11 @@ def _gains(s: Scenario, cfg: ControllerConfig) -> np.ndarray:
     return g
 
 
-def _law(s: Scenario, cfg: ControllerConfig):
-    """rhs(state) = -g * delta_f with the gains of ``_gains``."""
-    g = _gains(s, cfg)
-    return lambda state, *_: -g * state.delta_f
-
-
 def integral_rhs(state: SimState, s: Scenario, cfg: ControllerConfig) -> np.ndarray:
     """Integral control law: dP_i/dt = -(K / (2 a_i tau)) * delta_f."""
     if cfg.kind is not ControllerKind.INTEGRAL:
         raise ValueError("integral_rhs requires an integral controller config")
-    return _law(s, cfg)(state)
+    return -_gains(s, cfg) * state.delta_f
 
 
 def pi_rhs(state: SimState, s: Scenario, cfg: ControllerConfig) -> np.ndarray:
@@ -155,50 +151,43 @@ def pi_rhs(state: SimState, s: Scenario, cfg: ControllerConfig) -> np.ndarray:
     """
     if cfg.kind is not ControllerKind.PROPORTIONAL_INTEGRAL:
         raise ValueError("pi_rhs requires a PI controller config")
-    return _law(s, cfg)(state)
+    return -_gains(s, cfg) * state.delta_f
 
 
-# pack(state) -> y, unpack(t, y) -> state, deriv(state) -> dy/dt
-_Loop = namedtuple("_Loop", "pack unpack deriv")
+def _check_model(model: FrequencyModel) -> None:
+    """The frequency-model rules ``simulate`` and the public steppers share."""
+    if isinstance(model, QuasiStatic):
+        if not model.beta > 0:  # NaN fails it too
+            raise ValueError("beta must be > 0")
+    elif not (math.isfinite(model.m_inertia) and model.m_inertia > 0):
+        raise ValueError("m_inertia must be finite and > 0")
+    elif not (math.isfinite(model.d_damp) and model.d_damp >= 0):
+        raise ValueError("d_damp must be finite and >= 0")
 
 
-def _closure(rhs, s: Scenario, cfg: ControllerConfig, model: FrequencyModel | None) -> _Loop:
-    """How ``model`` closes the loop around ``rhs`` at the scenario's load.
-
-    Under QuasiStatic y = p and unpack recomputes delta_f from p at the
-    scenario's load; under Inertial y = (p, delta_f).
+def _closure(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
+             model: FrequencyModel | None):
+    """(y, unpack(t, y) -> SimState, deriv(state) -> dy/dt) for one step from
+    ``state``, as ``model`` closes the loop around ``rhs`` at the scenario's load:
+    under QuasiStatic y = p and delta_f follows from p; under Inertial y = (p, delta_f).
     """
     if model is None:
         model = QuasiStatic(s.beta)
+    _check_model(model)
     d = total_load(s)
     if isinstance(model, QuasiStatic):
         def unpack(t, y):
             p = tuple(y.tolist())
             return SimState(t, p, frequency_deviation(p, d, model.beta))
 
-        return _Loop(lambda state: np.asarray(state.p), unpack,
-                     lambda state: np.asarray(rhs(state, s, cfg)))
+        return np.asarray(state.p), unpack, lambda st: np.asarray(rhs(st, s, cfg))
 
-    def deriv(state):
-        ddf = ((sum(state.p) - d) - model.d_damp * state.delta_f) / model.m_inertia
-        return np.append(rhs(state, s, cfg), ddf)
+    def deriv(st):
+        ddf = ((sum(st.p) - d) - model.d_damp * st.delta_f) / model.m_inertia
+        return np.append(rhs(st, s, cfg), ddf)
 
-    return _Loop(lambda state: np.append(state.p, state.delta_f),
-                 lambda t, y: SimState(t, tuple(y[:-1].tolist()), float(y[-1])), deriv)
-
-
-def _euler(loop: _Loop, state: SimState, h: float) -> np.ndarray:
-    return loop.pack(state) + h * loop.deriv(state)
-
-
-def _rk4(loop: _Loop, state: SimState, h: float) -> np.ndarray:
-    pack, unpack, deriv = loop
-    t, y = state.t, pack(state)
-    k1 = deriv(state)
-    k2 = deriv(unpack(t + 0.5 * h, y + 0.5 * h * k1))
-    k3 = deriv(unpack(t + 0.5 * h, y + 0.5 * h * k2))
-    k4 = deriv(unpack(t + h, y + h * k3))
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return (np.append(state.p, state.delta_f),
+            lambda t, y: SimState(t, tuple(y[:-1].tolist()), float(y[-1])), deriv)
 
 
 def step_euler(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
@@ -210,8 +199,8 @@ def step_euler(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
     """
     if h <= 0:
         raise ValueError("h must be > 0")
-    loop = _closure(rhs, s, cfg, model)
-    return loop.unpack(state.t + h, _euler(loop, state, h))
+    y, unpack, deriv = _closure(rhs, state, s, cfg, model)
+    return unpack(state.t + h, y + h * deriv(state))
 
 
 def step_rk4(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
@@ -219,8 +208,13 @@ def step_rk4(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
     """One classical 4-stage Runge-Kutta step of size h."""
     if h <= 0:
         raise ValueError("h must be > 0")
-    loop = _closure(rhs, s, cfg, model)
-    return loop.unpack(state.t + h, _rk4(loop, state, h))
+    y, unpack, deriv = _closure(rhs, state, s, cfg, model)
+    t = state.t
+    k1 = deriv(state)
+    k2 = deriv(unpack(t + 0.5 * h, y + 0.5 * h * k1))
+    k3 = deriv(unpack(t + 0.5 * h, y + 0.5 * h * k2))
+    k4 = deriv(unpack(t + h, y + h * k3))
+    return unpack(t + h, y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 def _check_events(events, n_loads: int, error=lambda where, why: ValueError(f"{where}: {why}"),
@@ -243,54 +237,54 @@ def _check_events(events, n_loads: int, error=lambda where, why: ValueError(f"{w
     return tuple(out)
 
 
-def _exact(g: np.ndarray, beta: float, p0: np.ndarray, t: np.ndarray,
-           demand: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """The QuasiStatic closed form dP/dt = -g * (sum(p) - D) / beta sampled at ``t``.
+def _inertial(big_g: float, model: Inertial, e0: float, f0: float,
+              dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, delta_f) at times dt after (e0, f0) under e' = -G delta_f and
+    M delta_f' = e - D delta_f, M = m_inertia and D = d_damp: exp(A dt) of
+    A = [[0, -G], [1/M, -D/M]] in closed form.
 
-    ``demand`` maps each sample where a load takes effect (0 always) to the total
-    load from there on. Per segment, one numpy expression: the imbalance decays at
-    rate sum(g)/beta and every unit moves along g/sum(g) = w/S.
+    With mu = -D/(2M) and s^2 = mu^2 - G/M, exp(A t) = exp(mu t) (c I + q (A - mu I))
+    where c = cosh(s t), q = sinh(s t)/s; cos(w t) and sin(w t)/w with w^2 = -s^2
+    when s^2 < 0, and q = t at s = 0. The overdamped case factors out
+    exp((mu + s) t) <= 1, so nothing overflows and small s loses no digits.
     """
-    shape, rate = g / g.sum(), float(g.sum()) / beta
-    p = np.empty((len(t), len(p0)))
-    delta_f = np.empty(len(t))
-    p[0] = p0
-    marks = sorted(demand)
-    for a, b in zip(marks, marks[1:] + [len(t) - 1]):  # segment a..b, continuous at b
-        d = demand[a]
-        decay = -np.expm1(-rate * (t[a:b + 1] - t[a]))
-        p[a:b + 1] = p[a] - np.outer(decay, shape * (float(p[a].sum()) - d))
-        delta_f[a:b + 1] = (p[a:b + 1].sum(axis=1) - d) / beta
-    return p, delta_f
+    mu = -model.d_damp / (2.0 * model.m_inertia)
+    s2 = mu * mu - big_g / model.m_inertia
+    if s2 > 0.0:
+        s = math.sqrt(s2)
+        lead, rest = np.exp((mu + s) * dt), np.expm1(-2.0 * s * dt)
+        c, q = lead * (1.0 + 0.5 * rest), lead * (-rest / (2.0 * s))
+    elif s2 < 0.0:
+        w = math.sqrt(-s2)
+        decay = np.exp(mu * dt)
+        c, q = decay * np.cos(w * dt), decay * (np.sin(w * dt) / w)
+    else:
+        c = np.exp(mu * dt)
+        q = c * dt
+    return (c * e0 + q * (-mu * e0 - big_g * f0),
+            c * f0 + q * (e0 / model.m_inertia + mu * f0))
 
 
 def simulate(s: Scenario, cfg: ControllerConfig,
              model: FrequencyModel | None = None, *, h: float, t_end: float,
-             events=(), method: str = "rk4") -> SimulationTrace:
-    """Run the closed loop from the generators' initial outputs.
+             events=()) -> SimulationTrace:
+    """Sample the closed loop's exact trajectory from the generators' initial outputs.
 
     Row i of the trace's columns is the sample at t = i*h, i = 0 .. round(t_end/h).
     Load-step events are snapped to the nearest step of the fixed grid and
     applied at that sample: p is continuous there and delta_f uses the new
-    load. ``method`` selects the propagator:
+    load (QuasiStatic) or carries over (Inertial, which starts at delta_f = 0).
 
-    - "rk4" (the default) and "euler" are fixed-step integrators; use "euler"
-      with h equal to the scenario tau to reproduce the discrete solver
-      iterates exactly.
-    - "exact" samples the closed-form trajectory, QuasiStatic only (Inertial
-      raises ValueError). The loop is linear with rank-one coupling, so
-      between load samples t_k the imbalance e = sum(p) - D_k decays as one
-      exponential and every unit moves along w/S, w = 1/(2a), S = sum(w):
+    Both laws are dP/dt = -g * delta_f (see ``_gains``), so every unit moves
+    along g/G, G = sum(g), and between load samples t_k the imbalance
+    e = sum(p) - D_k follows one scalar ODE (QuasiStatic) or one 2x2 ODE
+    (Inertial, see ``_inertial``):
 
-          p(t) = p_k - (w/S) * e_k * (1 - exp(-r (t - t_k)))
-          delta_f = (sum(p) - D_k) / beta
+        p(t) = p_k - (g/G) * (e_k - e(t))
 
-      with r = K*S/(tau*beta) for integral control and K*S/(tau*(beta + K*S))
-      for PI. It matches RK4 to its truncation error at a fraction of the cost.
-
-    Under Inertial the deviation starts at zero and is integrated; the PI
-    controller requires the QuasiStatic model because its law closes through
-    that relation.
+    Under QuasiStatic e(t) = e_k exp(-r (t - t_k)) with r = G/beta, which is
+    K*S/(tau*beta) for integral control and K*S/(tau*(beta + K*S)) for PI.
+    The PI controller requires QuasiStatic, because its law closes through it.
     """
     if h <= 0:
         raise ValueError("h must be > 0")
@@ -298,51 +292,43 @@ def simulate(s: Scenario, cfg: ControllerConfig,
         raise ValueError("h, t_end and t_end/h must be finite")
     if t_end <= h:
         raise ValueError("t_end must exceed h")
-    if method not in ("euler", "rk4", "exact"):
-        raise ValueError(f"unknown integration method {method!r}")
     if model is None:
         model = QuasiStatic(s.beta)
-    if not isinstance(model, QuasiStatic):
-        if cfg.kind is ControllerKind.PROPORTIONAL_INTEGRAL:
-            raise ValueError("the PI controller requires the QuasiStatic frequency model")
-        if method == "exact":
-            raise ValueError("the exact method requires the QuasiStatic frequency model")
-    elif model.beta <= 0:
-        raise ValueError("beta must be > 0")
+    _check_model(model)
+    quasi_static = isinstance(model, QuasiStatic)
+    if not quasi_static and cfg.kind is ControllerKind.PROPORTIONAL_INTEGRAL:
+        raise ValueError("the PI controller requires the QuasiStatic frequency model")
 
     n_steps = int(round(t_end / h))
     snapped: list[LoadEvent] = []
-    by_index: dict[int, tuple[float, ...]] = {}
+    demand = {0: total_load(s)}  # sample where a load takes effect -> total load from there
     for ev in _check_events(events, len(s.loads)):  # snapped to the step grid
         idx = round(min(ev.time / h, n_steps + 1.0))  # clamped: a huge time / h cannot overflow
         if idx > n_steps:
             raise ValueError(f"event at t={ev.time} lies beyond t_end")
-        by_index[idx] = ev.loads  # events snapping to the same step: last wins
+        demand[idx] = sum(ev.loads)  # events snapping to the same step: last wins
         snapped.append(LoadEvent(idx * h, ev.loads))
-    n = len(s.generators)
     t = np.arange(n_steps + 1) * h  # i*h, since summing h drifts off the grid
-    p0 = tuple(float(g.p_init) for g in s.generators)
 
-    if method == "exact":
-        demand = {0: total_load(s)} | {i: sum(loads) for i, loads in by_index.items()}
-        p, delta_f = _exact(_gains(s, cfg), model.beta, np.array(p0), t, demand)
-        return SimulationTrace(t, p, delta_f, tuple(snapped), cfg, model, s)
-
-    rhs = _law(s, cfg)
-    advance = _rk4 if method == "rk4" else _euler
-    loop = _closure(rhs, replace(s, loads=by_index[0]) if 0 in by_index else s, cfg, model)
-    state = loop.unpack(0.0, loop.pack(SimState(0.0, p0, 0.0)))  # Inertial starts at delta_f = 0
-    p = np.empty((n_steps + 1, n))
+    g = _gains(s, cfg)
+    big_g = float(g.sum())
+    shape = g / big_g
+    p = np.empty((n_steps + 1, len(g)))
     delta_f = np.empty(n_steps + 1)
-    p[0], delta_f[0] = state.p, state.delta_f
-
-    for i in range(1, n_steps + 1):
-        y = advance(loop, state, h)
-        if i in by_index:
-            loop = _closure(rhs, replace(s, loads=by_index[i]), cfg, model)
-        state = loop.unpack(i * h, y)
-        p[i], delta_f[i] = y[:n], state.delta_f
-
+    p[0] = [gen.p_init for gen in s.generators]
+    delta_f[0] = 0.0  # Inertial starts at rest; QuasiStatic overwrites it
+    marks = sorted(demand)
+    for a, b in zip(marks, marks[1:] + [n_steps]):  # segment a..b, continuous at b
+        d, p_a, seg = demand[a], p[a].copy(), p[a:b + 1]
+        e0, dt = float(p_a.sum()) - d, t[a:b + 1] - t[a]
+        if quasi_static:
+            np.multiply.outer(-np.expm1(-big_g / model.beta * dt), shape * e0, out=seg)
+            np.subtract(p_a, seg, out=seg)
+            delta_f[a:b + 1] = (seg.sum(axis=1) - d) / model.beta
+        else:
+            e, delta_f[a:b + 1] = _inertial(big_g, model, e0, float(delta_f[a]), dt)
+            np.multiply.outer(e0 - e, shape, out=seg)
+            np.subtract(p_a, seg, out=seg)
     return SimulationTrace(t, p, delta_f, tuple(snapped), cfg, model, s)
 
 

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
+import numpy as np
+
 from .dispatch import (
     IterationTrace,
     StopReason,
@@ -25,15 +27,13 @@ from .dispatch import (
 )
 from .dynamics import (
     QuasiStatic,
-    SimState,
     SimulationTrace,
-    _closure,
-    _euler,
-    _law,
+    _gains,
+    frequency_deviation,
     settling_time,
     simulate,
 )
-from .model import ControllerConfig, ControllerKind, Scenario, marginal_cost
+from .model import ControllerConfig, ControllerKind, Scenario, marginal_cost, total_load
 
 __all__ = [
     "ConvergenceReport",
@@ -88,15 +88,15 @@ def check_euler_equivalence(s: Scenario, pair: EquivalencePair, steps: int,
     else:
         raise ValueError(f"unknown equivalence pair {pair!r}")
 
-    cfg = ControllerConfig(kind, s.gain_K, s.tau)
-    loop = _closure(_law(s, cfg), s, cfg, QuasiStatic(s.beta))
-    sim = SimState(0.0, st.p, -st.imbalance / s.beta)
+    g = _gains(s, ControllerConfig(kind, s.gain_K, s.tau))
+    d = total_load(s)
+    p, listed = np.array(st.p), st.p
     deviation = 0.0
     for _ in range(steps):
         st = advance(st)
-        sim = loop.unpack(sim.t + s.tau, _euler(loop, sim, s.tau))
-        deviation = max(deviation,
-                        max(abs(x - y) for x, y in zip(st.p, sim.p)))
+        p = p + s.tau * (g * -frequency_deviation(listed, d, s.beta))  # Euler at h = tau
+        listed = p.tolist()
+        deviation = max(deviation, max(abs(x - y) for x, y in zip(st.p, listed)))
     return EquivalenceReport(pair, deviation, steps)
 
 
@@ -176,10 +176,8 @@ def compare_convergence(s: Scenario, alpha: float, rho: float,
 
     so the PI loop is the slower one for every positive K, S, beta, and
     each settling time is tau + ln(|delta_f0|/settle_eps)/rate to within
-    one step h. Both runs sample that closed form on the grid
-    (``simulate(..., method="exact")``, QuasiStatic only) instead of
-    integrating it; the settling times are sample times, the same as an
-    RK4 run's unless a sample lies within RK4's error of settle_eps.
+    one step h. Both runs are ``simulate`` runs, which sample that closed
+    form on the grid, so the settling times are sample times.
     """
     if alpha <= 0 or rho <= 0:
         raise ValueError("alpha and rho must be > 0")
@@ -196,7 +194,7 @@ def compare_convergence(s: Scenario, alpha: float, rho: float,
     settle = {}
     for kind in (ControllerKind.INTEGRAL, ControllerKind.PROPORTIONAL_INTEGRAL):
         cfg = ControllerConfig(kind, s.gain_K, s.tau)
-        trace = simulate(start, cfg, model, h=h, t_end=t_end, events=events, method="exact")
+        trace = simulate(start, cfg, model, h=h, t_end=t_end, events=events)
         settle[kind] = settling_time(trace, settle_eps)
 
     return ConvergenceReport(

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from freqdispatch import (
     CostCoefficients,
     Generator,
+    LoadEvent,
+    QuasiStatic,
     Scenario,
+    SimState,
+    SimulationTrace,
     analytic_dispatch,
+    frequency_deviation,
+    step_rk4,
     total_load,
 )
 
@@ -74,3 +82,35 @@ def economic_start(s: Scenario) -> Scenario:
     sol = analytic_dispatch(s)
     gens = tuple(Generator(g.id, g.cost, p) for g, p in zip(s.generators, sol.p))
     return Scenario(gens, s.loads, s.gain_K, s.beta, s.tau)
+
+
+def rk4_trace(rhs, s: Scenario, cfg, model=None, *, h: float, n_steps: int,
+              events=()) -> SimulationTrace:
+    """The run ``simulate`` samples, rebuilt one public ``step_rk4`` step at a time.
+
+    The reference the exact propagator is checked against. Events are snapped
+    to the grid as ``simulate`` snaps them (the last of a sample's events wins).
+    At an event sample p carries over; the quasi-static deviation is recomputed
+    at the new load and the inertial one carries over. Inertial starts at rest.
+    """
+    if model is None:
+        model = QuasiStatic(s.beta)
+    quasi_static = isinstance(model, QuasiStatic)
+    snapped = tuple(LoadEvent(round(t / h) * h, tuple(loads)) for t, loads in events)
+    loads_at = {round(t / h): tuple(loads) for t, loads in events}
+    current = replace(s, loads=loads_at[0]) if 0 in loads_at else s
+    p0 = tuple(g.p_init for g in s.generators)
+    state = SimState(0.0, p0, frequency_deviation(p0, total_load(current), model.beta)
+                     if quasi_static else 0.0)
+    states = [state]
+    for i in range(1, n_steps + 1):
+        nxt = step_rk4(rhs, state, current, cfg, h, model)
+        delta_f = nxt.delta_f
+        if i in loads_at:
+            current = replace(current, loads=loads_at[i])
+            if quasi_static:
+                delta_f = frequency_deviation(nxt.p, total_load(current), model.beta)
+        state = SimState(i * h, nxt.p, delta_f)
+        states.append(state)
+    return SimulationTrace(np.arange(n_steps + 1) * h, np.array([st.p for st in states]),
+                           np.array([st.delta_f for st in states]), snapped, cfg, model, s)

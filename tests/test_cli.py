@@ -556,3 +556,17 @@ def test_bad_oracle_grid_step_exit_1(scenario_file, capsys, step):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: grid_step ")
+
+
+def test_oracle_refuses_large_four_unit_grid_exit_1(tmp_path, capsys):
+    payload = json.loads(reference_text())
+    payload["scenario"]["generators"] = [
+        {"id": f"G{i}", "cost": {"a": 1.0, "b": 0.0}} for i in range(1, 5)]
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(payload))
+    # D = 10 spans [-20, 20]: a 0.004 step gives 10,001 points, above MAX_GRID_POINTS_N4
+    code = run_command(["dispatch", str(path), "--oracle", "--grid-step", "0.004"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: grid_step 0.004 gives more than 8001 grid points")

@@ -120,6 +120,21 @@ def test_brute_force_caps_grid_points(scenario_r, monkeypatch):
         brute_force_dispatch(scenario_r, 40.0 / 1001)
 
 
+def _no_tail_search(*args, **kwargs):
+    raise AssertionError("the N = 4 grid was searched before its size was checked")
+
+
+def test_brute_force_caps_four_unit_grid_points(monkeypatch):
+    # D = 8 spans [-16, 16]: a step of 32/(m-1) gives m points.
+    four = make_scenario([1.0] * 4, [0.0] * 4, [8.0])
+    monkeypatch.setattr(dispatch, "MAX_GRID_POINTS_N4", 321)
+    sol = brute_force_dispatch(four, 32.0 / 320)
+    assert sol.p == pytest.approx((2.0,) * 4, abs=0.1)
+    monkeypatch.setattr(dispatch, "_grid_tail_search", _no_tail_search)
+    with pytest.raises(ValueError, match="gives more than 321 grid points on .* for 4 generators"):
+        brute_force_dispatch(four, 32.0 / 321)
+
+
 # ---------------------------------------------------------------------------
 # dual ascent
 

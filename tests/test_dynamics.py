@@ -1,8 +1,7 @@
-"""Closed-loop dynamics: rhs laws, integrators, simulation, settling."""
+"""Closed-loop dynamics: rhs laws, one-step integrators, exact simulation, settling."""
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from freqdispatch import (
 )
 from freqdispatch.cli import ScenarioFileError, parse_scenario_file
 
-from conftest import make_scenario, reference_scenario
+from conftest import make_scenario, reference_scenario, rk4_trace
 
 INTEGRAL = ControllerKind.INTEGRAL
 PI = ControllerKind.PROPORTIONAL_INTEGRAL
@@ -293,23 +292,34 @@ def test_simulate_guards(scenario_r):
         simulate(scenario_r, cfg, h=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         simulate(scenario_r, cfg, h=1.0, t_end=0.5)
-    with pytest.raises(ValueError):
-        simulate(scenario_r, cfg, h=0.01, t_end=1.0, method="leapfrog")
-
-
-@pytest.mark.parametrize("method", ["Exact", "RK4", ""])
-def test_simulate_refuses_unknown_methods(scenario_r, method):
-    with pytest.raises(ValueError, match="unknown integration method"):
-        simulate(scenario_r, _cfg(INTEGRAL, scenario_r), h=0.01, t_end=1.0, method=method)
 
 
 def test_exact_method_requires_quasi_static(scenario_r):
+    # the PI law closes through delta_f = (sum(p) - D)/beta; integral control takes either model
     with pytest.raises(ValueError, match="QuasiStatic"):
-        simulate(scenario_r, _cfg(INTEGRAL, scenario_r), Inertial(1.5, 3.0),
-                 h=0.01, t_end=1.0, method="exact")
+        simulate(scenario_r, _cfg(PI, scenario_r), Inertial(1.5, 3.0), h=0.01, t_end=1.0)
     with pytest.raises(ValueError, match="beta must be > 0"):
         simulate(scenario_r, _cfg(INTEGRAL, scenario_r), QuasiStatic(-1.5),
-                 h=0.01, t_end=1.0, method="exact")
+                 h=0.01, t_end=1.0)
+
+
+@pytest.mark.parametrize("model, message", [
+    (Inertial(0.0, 1.0), "m_inertia must be finite and > 0"),
+    (Inertial(-1.0, 0.0), "m_inertia must be finite and > 0"),
+    (Inertial(math.nan, 1.0), "m_inertia must be finite and > 0"),
+    (Inertial(math.inf, 1.0), "m_inertia must be finite and > 0"),
+    (Inertial(1.0, -5.0), "d_damp must be finite and >= 0"),
+    (Inertial(1.0, math.nan), "d_damp must be finite and >= 0"),
+    (Inertial(1.0, math.inf), "d_damp must be finite and >= 0"),
+    (QuasiStatic(math.nan), "beta must be > 0"),
+])
+def test_simulate_refuses_invalid_frequency_models(scenario_r, model, message):
+    cfg = _cfg(INTEGRAL, scenario_r)
+    with pytest.raises(ValueError, match=message):
+        simulate(scenario_r, cfg, model, h=0.01, t_end=1.0, events=[(0.5, (7.2, 4.8))])
+    for stepper in (step_euler, step_rk4):  # the public steppers share the rules
+        with pytest.raises(ValueError, match=message):
+            stepper(integral_rhs, SimState(0.0, (6.0, 2.0), 0.0), scenario_r, cfg, 0.01, model)
 
 
 @pytest.mark.parametrize("kind, rate", [(INTEGRAL, 1.0), (PI, 0.5)])
@@ -317,7 +327,7 @@ def test_exact_method_is_the_closed_form(scenario_r, kind, rate):
     # From the optimum, a 20% load step at t = 1 gives delta_f = -4/3 exp(-rate (t - 1)):
     # K S/(tau beta) = 1.5/1.5 and K S/(tau (beta + K S)) = 1.5/3 on the reference case.
     trace = simulate(scenario_r, _cfg(kind, scenario_r), h=0.01, t_end=30.0,
-                     events=[(1.0, (7.2, 4.8))], method="exact")
+                     events=[(1.0, (7.2, 4.8))])
     t = trace.t
     want = np.where(t < 1.0 - 1e-9, 0.0, -4.0 / 3.0 * np.exp(-rate * (t - 1.0)))
     assert np.max(np.abs(trace.delta_f - want)) <= 1e-12
@@ -339,41 +349,57 @@ def test_simulate_rejects_event_far_beyond_t_end(scenario_r):
                  events=[(1e300, (7.2, 4.8))])
 
 
-@pytest.mark.parametrize("method, stepper", [("rk4", step_rk4), ("euler", step_euler)])
 @pytest.mark.parametrize("kind, rhs, model", [
     (INTEGRAL, integral_rhs, QuasiStatic(1.5)),
     (PI, pi_rhs, QuasiStatic(1.5)),
     (INTEGRAL, integral_rhs, Inertial(1.5, 3.0)),
 ])
-def test_simulate_columns_match_public_steppers(method, stepper, kind, rhs, model):
-    # The run simulate stores, rebuilt one public step at a time: the load
-    # steps at sample 10, where the quasi-static deviation is recomputed at
-    # the new load and the inertial one carries over.
+def test_simulate_columns_match_public_steppers(kind, rhs, model):
+    # The run simulate samples, rebuilt one public RK4 step at a time, with the
+    # load stepping at sample 10. The fastest mode has |lambda| h <= 0.06 here,
+    # so RK4's error over 30 steps is below 30 (0.06)**5/120 = 2e-7 of the
+    # largest magnitude in play, the 12 MW post-step demand.
     s = make_scenario([0.5, 1.0, 2.0], [1.0, 2.0, 3.0], [6.0, 4.0],
                       p_init=[4.0, 3.0, 2.0], beta=1.5)
     cfg = _cfg(kind, s)
-    h, n_steps, new_loads = 0.05, 30, (7.2, 4.8)
-    trace = simulate(s, cfg, model, h=h, t_end=n_steps * h,
-                     events=[(10 * h, new_loads)], method=method)
+    h, n_steps, events = 0.05, 30, [(10 * 0.05, (7.2, 4.8))]
+    trace = simulate(s, cfg, model, h=h, t_end=n_steps * h, events=events)
+    reference = rk4_trace(rhs, s, cfg, model, h=h, n_steps=n_steps, events=events)
 
-    quasi_static = isinstance(model, QuasiStatic)
-    p0 = (4.0, 3.0, 2.0)
-    state = SimState(0.0, p0, frequency_deviation(p0, sum(s.loads), 1.5) if quasi_static else 0.0)
-    current = s
-    states = [state]
-    for i in range(1, n_steps + 1):
-        nxt = stepper(rhs, state, current, cfg, h, model)
-        delta_f = nxt.delta_f
-        if i == 10:
-            current = replace(current, loads=new_loads)
-            if quasi_static:
-                delta_f = frequency_deviation(nxt.p, sum(new_loads), 1.5)
-        state = SimState(i * h, nxt.p, delta_f)
-        states.append(state)
+    assert trace.t.tolist() == reference.t.tolist()
+    assert trace.events == reference.events
+    assert np.max(np.abs(trace.p - reference.p)) <= 2e-7 * 12.0
+    assert np.max(np.abs(trace.delta_f - reference.delta_f)) <= 2e-7 * 12.0
 
-    assert trace.t.tolist() == [st.t for st in states]
-    assert trace.p.tolist() == [list(st.p) for st in states]
-    assert trace.delta_f.tolist() == [st.delta_f for st in states]
+
+@pytest.mark.parametrize("model", [Inertial(1.5, 3.0), Inertial(2.0, 1.0), Inertial(5.0, 0.1)])
+def test_exact_inertial_matches_rk4_to_truncation_error(scenario_r, model):
+    # critically damped (s^2 = 0 exactly), underdamped and lightly damped
+    cfg = _cfg(INTEGRAL, scenario_r)
+    events = [(1.0, (7.2, 4.8))]
+    trace = simulate(scenario_r, cfg, model, h=0.01, t_end=10.0, events=events)
+    reference = rk4_trace(integral_rhs, scenario_r, cfg, model, h=0.01, n_steps=1000,
+                          events=events)
+    assert np.max(np.abs(trace.p - reference.p)) <= 2.5e-10
+    assert np.max(np.abs(trace.delta_f - reference.delta_f)) <= 2.5e-10
+
+
+def test_rk4_converges_to_the_exact_inertial_run_at_fourth_order(scenario_r):
+    # Inertial(0.2, 5.0) is overdamped, with a fast mode of |lambda| = 24.7
+    model = Inertial(0.2, 5.0)
+    cfg = _cfg(INTEGRAL, scenario_r)
+    events = [(0.5, (7.2, 4.8))]
+    trace = simulate(scenario_r, cfg, model, h=0.01, t_end=2.0, events=events)
+
+    def max_error(refine):
+        reference = rk4_trace(integral_rhs, scenario_r, cfg, model, h=0.01 / refine,
+                              n_steps=200 * refine, events=events)
+        return max(float(np.max(np.abs(trace.p - reference.p[::refine]))),
+                   float(np.max(np.abs(trace.delta_f - reference.delta_f[::refine]))))
+
+    coarse, fine = max_error(1), max_error(10)
+    assert coarse <= 2e-5
+    assert 10.0 ** 3.5 <= coarse / fine  # 4th order: 10**4 up to the rounding floor
 
 
 def test_inertial_model_reaches_same_equilibrium(scenario_r):

@@ -14,14 +14,12 @@ from freqdispatch import (
     compare_convergence,
     dual_ascent_solve,
     empirical_ratio,
-    settling_time,
     simulate,
     stability_bound_alpha,
     sweep,
     verify_steady_state_optimality,
 )
 
-from freqdispatch import dynamics
 from freqdispatch.model import total_load
 
 from conftest import economic_start, make_scenario, random_scenarios, reference_scenario
@@ -99,29 +97,25 @@ def test_compare_reports_divergence_without_raising(scenario_r):
     assert report.mom.empirical_ratio == pytest.approx(1.0 / 5.5, abs=1e-9)
 
 
-def _no_rk4(*args, **kwargs):
-    raise AssertionError("compare_convergence must not integrate with RK4")
-
-
-def test_compare_convergence_needs_no_rk4(monkeypatch, scenario_r):
-    monkeypatch.setattr(dynamics, "_rk4", _no_rk4)
-    report = compare_convergence(scenario_r, 2.0 / 3.0, 2.0 / 3.0, 1e-6, lambda0=0.0)
-    assert report.settling_integral == pytest.approx(10.50, abs=1e-9)
-    assert report.settling_pi == pytest.approx(20.00, abs=1e-9)
-
-
-# the reference scenario and four of the shared random ones: two 10,000-step
-# RK4 runs each, so the whole random suite would double the test time
+# The reference scenario and four of the shared random ones. From the economic
+# start the load step gives delta_f0 = -0.2 D/beta, which then decays at one rate
+# r: exactly as exp(-r t), and under RK4 at step h by R(-r h) per step, R the
+# stability polynomial 1 + z + z^2/2 + z^3/6 + z^4/24. Both settle within h.
 @pytest.mark.parametrize("s", [reference_scenario(), *random_scenarios(count=4)],
                          ids=["reference", *(f"random{i}" for i in range(4))])
 def test_compare_settling_matches_rk4_runs(s):
     report = compare_convergence(s, s.gain_K / s.beta, s.gain_K / s.beta, 1e-6)
-    events = [(s.tau, tuple(1.2 * x for x in s.loads))]  # compare_convergence's load step
-    for kind, got in ((ControllerKind.INTEGRAL, report.settling_integral),
-                      (ControllerKind.PROPORTIONAL_INTEGRAL, report.settling_pi)):
-        trace = simulate(economic_start(s), _cfg(kind, s), QuasiStatic(s.beta),
-                         h=s.tau / 100.0, t_end=100.0 * s.tau, events=events, method="rk4")
-        assert got == settling_time(trace, 1e-4), (kind, total_load(s))
+    h, eps = s.tau / 100.0, 1e-4
+    slope = sum(1.0 / (2.0 * g.cost.a) for g in s.generators)
+    df0 = -0.2 * total_load(s) / s.beta
+    for rate, got in ((s.gain_K * slope / (s.tau * s.beta), report.settling_integral),
+                      (s.gain_K * slope / (s.tau * (s.beta + s.gain_K * slope)),
+                       report.settling_pi)):
+        assert abs(got - (s.tau + math.log(abs(df0) / eps) / rate)) <= h, total_load(s)
+        z = -rate * h
+        rk4_factor = 1.0 + z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+        rk4_steps = math.ceil(math.log(abs(df0) / eps) / -math.log(rk4_factor))
+        assert got == (100 + rk4_steps) * h, total_load(s)
 
 
 def test_compare_rejects_nonpositive_steps(scenario_r):

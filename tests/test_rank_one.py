@@ -88,12 +88,11 @@ def test_equivalence_computes_gains_once_per_run(monkeypatch, pair):
     assert len(calls) <= len(s.generators)
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
-def test_sample_times_lie_on_the_grid(method):
+def test_sample_times_lie_on_the_grid():
     s = reference_scenario()
     h = 0.01
     trace = simulate(s, ControllerConfig(PI, s.gain_K, s.tau), h=h, t_end=3.0,
-                     events=[(1.0, (7.2, 4.8))], method=method)
+                     events=[(1.0, (7.2, 4.8))])
     assert all(t == i * h for i, t in enumerate(trace.t.tolist()))
 
 
