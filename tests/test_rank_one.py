@@ -8,11 +8,15 @@ from freqdispatch import (
     ControllerConfig,
     ControllerKind,
     EquivalencePair,
+    SimState,
     check_euler_equivalence,
     compare_convergence,
     mom_inner_minimize,
     mom_solve,
+    pi_rhs,
     simulate,
+    step_euler,
+    step_rk4,
     total_load,
 )
 
@@ -88,12 +92,21 @@ def test_equivalence_computes_gains_once_per_run(monkeypatch, pair):
     assert len(calls) <= len(s.generators)
 
 
-def test_sample_times_lie_on_the_grid():
-    s = reference_scenario()
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_sample_times_lie_on_the_grid(method):
+    # The closed-form trace is sampled at exactly i*h, and one public step of
+    # size h from a pre-event sample lands on the next grid sample.
+    stepper, tol = {"rk4": (step_rk4, 1e-12), "euler": (step_euler, 1e-4)}[method]
+    s = make_scenario([0.5, 1.0], [1.0, 2.0], [6.0, 4.0], p_init=[6.0, 2.0], beta=1.5)
     h = 0.01
-    trace = simulate(s, ControllerConfig(PI, s.gain_K, s.tau), h=h, t_end=3.0,
-                     events=[(1.0, (7.2, 4.8))])
+    cfg = ControllerConfig(PI, s.gain_K, s.tau)
+    trace = simulate(s, cfg, h=h, t_end=3.0, events=[(1.0, (7.2, 4.8))])
     assert all(t == i * h for i, t in enumerate(trace.t.tolist()))
+    for i in range(int(round(1.0 / h)) - 1):
+        state = SimState(float(trace.t[i]), tuple(trace.p[i].tolist()), float(trace.delta_f[i]))
+        nxt = stepper(pi_rhs, state, s, cfg, h)
+        assert nxt.t == pytest.approx(trace.t[i + 1], abs=1e-12)
+        assert np.max(np.abs(np.asarray(nxt.p) - trace.p[i + 1])) <= tol
 
 
 def test_reference_settling_times_are_exact():
