@@ -107,77 +107,74 @@ class ScenarioFile:
 
 
 # ---------------------------------------------------------------------------
-# Strict parsing
+# Strict parsing. A field's path is a tuple of keys and array indices, spelled
+# out (``scenario.generators[3].cost.a``) only when an error names it.
 
-def _check_keys(obj, path, required, optional):
+def _where(path: tuple) -> str:
+    """("scenario", "loads", 0) -> "scenario.loads[0]"; the root () -> ""."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+def _check_keys(obj, path, required, allowed):
     if not isinstance(obj, dict):
-        raise ScenarioFileError(path or "<root>", "expected a JSON object")
-    for key in sorted(obj):
-        if key not in required and key not in optional:
-            raise ScenarioFileError(_join(path, key), "unknown key")
-    for key in sorted(required):
-        if key not in obj:
-            raise ScenarioFileError(path or "<root>", f"missing required key '{key}'")
+        raise ScenarioFileError(_where(path) or "<root>", "expected a JSON object")
+    if not obj.keys() <= allowed:  # min() names the first offending key in sorted order
+        raise ScenarioFileError(_where((*path, min(obj.keys() - allowed))), "unknown key")
+    if not obj.keys() >= required:
+        raise ScenarioFileError(_where(path) or "<root>",
+                                f"missing required key '{min(required - obj.keys())}'")
 
 
-def _join(path, key):
-    return f"{path}.{key}" if path else key
-
-
-def _number(value, path) -> float:
+def _number(value, path, key) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFileError(path, "expected a number")
+        raise ScenarioFileError(_where((*path, key)), "expected a number")
     return float(value)
 
 
-def _integer(value, path) -> int:
+def _integer(value, path, key) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioFileError(path, "expected an integer")
+        raise ScenarioFileError(_where((*path, key)), "expected an integer")
     return value
 
 
-def _string(value, path) -> str:
+def _string(value, path, key) -> str:
     if not isinstance(value, str):
-        raise ScenarioFileError(path, "expected a string")
+        raise ScenarioFileError(_where((*path, key)), "expected a string")
     return value
 
 
-def _array(value, path) -> list:
+def _array(value, path, key) -> list:
     if not isinstance(value, list):
-        raise ScenarioFileError(path, "expected an array")
+        raise ScenarioFileError(_where((*path, key)), "expected an array")
     return value
+
+
+_GENERATOR_KEYS = frozenset({"id", "cost"}), frozenset({"id", "cost", "p_init"})
+_COST_KEYS = frozenset({"a", "b"}), frozenset({"a", "b", "c"})
 
 
 def _parse_generator(obj, path) -> Generator:
-    _check_keys(obj, path, required={"id", "cost"}, optional={"p_init"})
-    cost_obj = obj["cost"]
-    cost_path = _join(path, "cost")
-    _check_keys(cost_obj, cost_path, required={"a", "b"}, optional={"c"})
-    cost = CostCoefficients(
-        a=_number(cost_obj["a"], _join(cost_path, "a")),
-        b=_number(cost_obj["b"], _join(cost_path, "b")),
-        c=_number(cost_obj.get("c", 0.0), _join(cost_path, "c")),
-    )
-    return Generator(
-        id=_string(obj["id"], _join(path, "id")),
-        cost=cost,
-        p_init=_number(obj.get("p_init", 0.0), _join(path, "p_init")),
-    )
+    _check_keys(obj, path, *_GENERATOR_KEYS)
+    cost_obj, cost_path = obj["cost"], (*path, "cost")
+    _check_keys(cost_obj, cost_path, *_COST_KEYS)
+    cost = CostCoefficients(_number(cost_obj["a"], cost_path, "a"),  # positional: faster
+                            _number(cost_obj["b"], cost_path, "b"),
+                            _number(cost_obj.get("c", 0.0), cost_path, "c"))
+    return Generator(_string(obj["id"], path, "id"), cost,
+                     _number(obj.get("p_init", 0.0), path, "p_init"))
 
 
 def _parse_scenario(obj, path) -> Scenario:
-    _check_keys(obj, path,
-                required={"generators", "loads", "gain_K", "beta", "tau"},
-                optional=set())
-    gens = _array(obj["generators"], _join(path, "generators"))
-    loads = _array(obj["loads"], _join(path, "loads"))
+    keys = {"generators", "loads", "gain_K", "beta", "tau"}
+    _check_keys(obj, path, keys, keys)
+    gens = _array(obj["generators"], path, "generators")
+    loads = _array(obj["loads"], path, "loads")
     return Scenario(
-        generators=tuple(_parse_generator(g, f"{path}.generators[{i}]")
-                         for i, g in enumerate(gens)),
-        loads=tuple(_number(x, f"{path}.loads[{j}]") for j, x in enumerate(loads)),
-        gain_K=_number(obj["gain_K"], _join(path, "gain_K")),
-        beta=_number(obj["beta"], _join(path, "beta")),
-        tau=_number(obj["tau"], _join(path, "tau")),
+        generators=tuple(_parse_generator(g, (*path, "generators", i)) for i, g in enumerate(gens)),
+        loads=tuple(_number(x, (*path, "loads"), j) for j, x in enumerate(loads)),
+        gain_K=_number(obj["gain_K"], path, "gain_K"),
+        beta=_number(obj["beta"], path, "beta"),
+        tau=_number(obj["tau"], path, "tau"),
     )
 
 
@@ -193,48 +190,46 @@ def _solver_problem(opts: SolverOptions) -> tuple[str, str] | None:
 
 
 def _parse_solver(obj, path) -> SolverOptions:
-    _check_keys(obj, path, required=set(),
-                optional={"alpha", "rho", "tol", "max_iter", "lambda0"})
+    _check_keys(obj, path, set(), {"alpha", "rho", "tol", "max_iter", "lambda0"})
     opts = SolverOptions(
-        alpha=_number(obj["alpha"], _join(path, "alpha")) if "alpha" in obj else None,
-        rho=_number(obj["rho"], _join(path, "rho")) if "rho" in obj else None,
-        tol=_number(obj.get("tol", 1e-6), _join(path, "tol")),
-        max_iter=_integer(obj.get("max_iter", 10000), _join(path, "max_iter")),
-        lambda0=_number(obj["lambda0"], _join(path, "lambda0")) if "lambda0" in obj else None,
+        alpha=_number(obj["alpha"], path, "alpha") if "alpha" in obj else None,
+        rho=_number(obj["rho"], path, "rho") if "rho" in obj else None,
+        tol=_number(obj.get("tol", 1e-6), path, "tol"),
+        max_iter=_integer(obj.get("max_iter", 10000), path, "max_iter"),
+        lambda0=_number(obj["lambda0"], path, "lambda0") if "lambda0" in obj else None,
     )
     problem = _solver_problem(opts)
     if problem is not None:
-        raise ScenarioFileError(_join(path, problem[0]), problem[1])
+        raise ScenarioFileError(_where((*path, problem[0])), problem[1])
     return opts
 
 
 def _parse_simulation(obj, path, n_loads: int) -> SimulationOptions:
-    _check_keys(obj, path, required={"controller"},
-                optional={"h", "t_end", "events"})
-    raw_kind = _string(obj["controller"], _join(path, "controller"))
+    _check_keys(obj, path, {"controller"}, {"controller", "h", "t_end", "events"})
+    raw_kind = _string(obj["controller"], path, "controller")
     try:
         kind = ControllerKind(raw_kind)
     except ValueError:
-        raise ScenarioFileError(_join(path, "controller"),
+        raise ScenarioFileError(_where((*path, "controller")),
                                 f"must be 'integral' or 'pi', got {raw_kind!r}")
-    h = _number(obj["h"], _join(path, "h")) if "h" in obj else None
-    t_end = _number(obj["t_end"], _join(path, "t_end")) if "t_end" in obj else None
+    h = _number(obj["h"], path, "h") if "h" in obj else None
+    t_end = _number(obj["t_end"], path, "t_end") if "t_end" in obj else None
     for name, value in (("h", h), ("t_end", t_end)):
         if value is not None and not math.isfinite(value):
-            raise ScenarioFileError(_join(path, name), "must be finite")
+            raise ScenarioFileError(_where((*path, name)), "must be finite")
         if value is not None and value <= 0:
-            raise ScenarioFileError(_join(path, name), "must be > 0")
+            raise ScenarioFileError(_where((*path, name)), "must be > 0")
 
     events = []
-    for i, ev in enumerate(_array(obj.get("events", []), _join(path, "events"))):
-        ev_path = f"{path}.events[{i}]"
-        _check_keys(ev, ev_path, required={"time", "loads"}, optional=set())
-        events.append((_number(ev["time"], _join(ev_path, "time")),
-                       [_number(x, f"{ev_path}.loads[{j}]")
-                        for j, x in enumerate(_array(ev["loads"], _join(ev_path, "loads")))]))
+    for i, ev in enumerate(_array(obj.get("events", []), path, "events")):
+        ev_path = (*path, "events", i)
+        _check_keys(ev, ev_path, {"time", "loads"}, {"time", "loads"})
+        events.append((_number(ev["time"], ev_path, "time"),
+                       [_number(x, (*ev_path, "loads"), j)
+                        for j, x in enumerate(_array(ev["loads"], ev_path, "loads"))]))
     return SimulationOptions(controller=kind, h=h, t_end=t_end,
                              events=_check_events(events, n_loads, ScenarioFileError,
-                                                  _join(path, "events")))
+                                                  _where((*path, "events"))))
 
 
 def parse_scenario_file(text: str) -> ScenarioFile:
@@ -247,21 +242,21 @@ def parse_scenario_file(text: str) -> ScenarioFile:
     except json.JSONDecodeError as e:
         raise ScenarioFileError("", f"syntax error: {e.msg} (line {e.lineno} column {e.colno})")
 
-    _check_keys(raw, "", required={"format_version", "scenario"},
-                optional={"solver", "simulation"})
-    version = _integer(raw["format_version"], "format_version")
+    _check_keys(raw, (), {"format_version", "scenario"},
+                {"format_version", "scenario", "solver", "simulation"})
+    version = _integer(raw["format_version"], (), "format_version")
     if version != FORMAT_VERSION:
         raise ScenarioFileError("format_version",
                                 f"unsupported version {version} (supported: {FORMAT_VERSION})")
 
-    scenario = _parse_scenario(raw["scenario"], "scenario")
+    scenario = _parse_scenario(raw["scenario"], ("scenario",))
     violations = validate_scenario(scenario)
     if violations:
         detail = "; ".join(f"scenario.{v.field}: {v.message}" for v in violations)
         raise ScenarioFileError("scenario", f"invalid scenario: {detail}")
 
-    solver = _parse_solver(raw["solver"], "solver") if "solver" in raw else None
-    simulation = (_parse_simulation(raw["simulation"], "simulation", len(scenario.loads))
+    solver = _parse_solver(raw["solver"], ("solver",)) if "solver" in raw else None
+    simulation = (_parse_simulation(raw["simulation"], ("simulation",), len(scenario.loads))
                   if "simulation" in raw else None)
     return ScenarioFile(version, scenario, solver, simulation)
 
@@ -336,18 +331,16 @@ def _write_iteration_csv(trace: IterationTrace, sink) -> None:
 
 
 def _write_simulation_csv(trace: SimulationTrace, sink) -> None:
-    gens = trace.scenario.generators
-    n = len(gens)
+    cols = trace.scenario.columns
+    n = len(cols.a)
     header = ["t"] + [f"p_{i + 1}" for i in range(n)] + ["delta_f"] \
         + [f"marginal_cost_{i + 1}" for i in range(n)]
     sink.write(",".join(header) + "\n")
-    a, b = np.array([(g.cost.a, g.cost.b) for g in gens]).reshape(n, 2).T
     row = ",".join(["%.17g"] * (2 * n + 2)) + "\n"  # "%.17g" is format(x, ".17g")
     for i in range(0, len(trace.t), _CSV_BLOCK_ROWS):  # one block of rows in memory at a time
         block = slice(i, i + _CSV_BLOCK_ROWS)
         p = trace.p[block]
-        # 2*a*p + b, the operations of model.marginal_cost
-        table = np.column_stack([trace.t[block], p, trace.delta_f[block], 2.0 * a * p + b])
+        table = np.column_stack([trace.t[block], p, trace.delta_f[block], cols.marginal(p)])
         sink.writelines(row % tuple(values.tolist()) for values in table)
 
 

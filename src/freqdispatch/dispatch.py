@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import DispatchSolution, Scenario, _rank_one, cost_value, marginal_cost, total_load
+from .model import DispatchSolution, Scenario, marginal_cost, total_load
 
 __all__ = [
     "DIVERGENCE_FACTOR",
@@ -92,7 +92,7 @@ def aggregate_power_slope(s: Scenario) -> float:
     Under marginal-cost matching, total power is an affine function of the
     price with this slope; it drives every contraction factor below.
     """
-    return _rank_one(s)[1]
+    return s.columns.slope
 
 
 def analytic_dispatch(s: Scenario) -> DispatchSolution:
@@ -107,11 +107,10 @@ def analytic_dispatch(s: Scenario) -> DispatchSolution:
     Unique because every a_i > 0. Outputs may be negative; there are no
     generator limits in this model.
     """
-    w, slope, _ = _rank_one(s)
-    lam = (total_load(s) + float(w @ [g.cost.b for g in s.generators])) / slope
+    cols = s.columns
+    lam = (total_load(s) + float(cols.w @ cols.b)) / cols.slope
     p = _dual_power(lam, s)
-    cost = sum(cost_value(g.cost, pi) for g, pi in zip(s.generators, p))
-    return DispatchSolution(p=p, lambda_star=lam, total_cost=cost)
+    return DispatchSolution(p=p, lambda_star=lam, total_cost=cols.total_cost(np.array(p)))
 
 
 def _quad(a: float, b: float, x: np.ndarray) -> np.ndarray:
@@ -136,8 +135,8 @@ def brute_force_dispatch(s: Scenario, grid_step: float) -> DispatchSolution:
         raise ValueError("grid_step must be finite and > 0")
 
     d = total_load(s)
-    a = np.array([g.cost.a for g in s.generators])
-    b = np.array([g.cost.b for g in s.generators])
+    cols = s.columns
+    a, b = cols.a, cols.b
 
     if n == 1:
         p = (d,)
@@ -173,9 +172,8 @@ def brute_force_dispatch(s: Scenario, grid_step: float) -> DispatchSolution:
                     best = (float(grid[j]),) + tail
             p = best
 
-    total = sum(cost_value(g.cost, pi) for g, pi in zip(s.generators, p))
-    lam = sum(marginal_cost(g.cost, pi) for g, pi in zip(s.generators, p)) / n
-    return DispatchSolution(p=p, lambda_star=lam, total_cost=total)
+    lam = sum(cols.marginal(np.array(p)).tolist()) / n
+    return DispatchSolution(p=p, lambda_star=lam, total_cost=cols.total_cost(np.array(p)))
 
 
 def _grid_tail_search(grid, grid_step, lo, npts, a, b, d, base_cost=0.0):
@@ -212,7 +210,7 @@ def default_lambda0(s: Scenario) -> float:
 
 
 def _dual_power(lam: float, s: Scenario) -> tuple[float, ...]:
-    return tuple((lam - g.cost.b) / (2.0 * g.cost.a) for g in s.generators)
+    return tuple(((lam - s.columns.b) / s.columns.two_a).tolist())
 
 
 def _make_state(k: int, lam: float, p: tuple[float, ...], s: Scenario) -> IterState:
@@ -306,8 +304,8 @@ def mom_inner_minimize(lam: float, s: Scenario, rho: float) -> tuple[float, ...]
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
-    r = lam + rho * total_load(s) - np.array([g.cost.b for g in s.generators])
-    return tuple(_rank_one(s)[2](rho, r).tolist())
+    cols = s.columns
+    return tuple(cols.solve(rho, lam + rho * total_load(s) - cols.b).tolist())
 
 
 def initial_mom_state(s: Scenario, rho: float, lambda0: float | None = None) -> IterState:

@@ -22,8 +22,6 @@ from .model import (
     ControllerKind,
     CostCoefficients,
     Scenario,
-    _rank_one,
-    integral_gain,
     total_load,
 )
 
@@ -113,19 +111,19 @@ def frequency_deviation(p, d_total: float, beta: float) -> float:
 
     Sign convention: surplus generation raises the frequency.
     """
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError("beta must be finite and > 0")
     return (sum(p) - d_total) / beta
 
 
 def _gains(s: Scenario, cfg: ControllerConfig) -> np.ndarray:
     """g with dP/dt = -g * delta_f: g_i = K/(2 a_i tau), times beta/(beta + K S) for PI.
 
-    Loads do not enter g, so one run computes it once and steps with the result.
+    One array expression on the scenario's cached columns; loads do not enter g.
     """
-    g = np.array([integral_gain(gen.cost, cfg.gain_K, cfg.tau) for gen in s.generators])
+    g = cfg.gain_K / (s.columns.two_a * cfg.tau)
     if cfg.kind is ControllerKind.PROPORTIONAL_INTEGRAL:
-        g *= s.beta / (s.beta + cfg.gain_K * _rank_one(s)[1])
+        g *= s.beta / (s.beta + cfg.gain_K * s.columns.slope)
     return g
 
 
@@ -157,8 +155,8 @@ def pi_rhs(state: SimState, s: Scenario, cfg: ControllerConfig) -> np.ndarray:
 def _check_model(model: FrequencyModel) -> None:
     """The frequency-model rules ``simulate`` and the public steppers share."""
     if isinstance(model, QuasiStatic):
-        if not model.beta > 0:  # NaN fails it too
-            raise ValueError("beta must be > 0")
+        if not (math.isfinite(model.beta) and model.beta > 0):
+            raise ValueError("beta must be finite and > 0")
     elif not (math.isfinite(model.m_inertia) and model.m_inertia > 0):
         raise ValueError("m_inertia must be finite and > 0")
     elif not (math.isfinite(model.d_damp) and model.d_damp >= 0):
@@ -315,7 +313,7 @@ def simulate(s: Scenario, cfg: ControllerConfig,
     shape = g / big_g
     p = np.empty((n_steps + 1, len(g)))
     delta_f = np.empty(n_steps + 1)
-    p[0] = [gen.p_init for gen in s.generators]
+    p[0] = s.columns.p_init
     delta_f[0] = 0.0  # Inertial starts at rest; QuasiStatic overwrites it
     marks = sorted(demand)
     for a, b in zip(marks, marks[1:] + [n_steps]):  # segment a..b, continuous at b

@@ -7,6 +7,7 @@ reports.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -33,7 +34,7 @@ from .dynamics import (
     settling_time,
     simulate,
 )
-from .model import ControllerConfig, ControllerKind, Scenario, marginal_cost, total_load
+from .model import ControllerConfig, ControllerKind, Scenario, total_load
 
 __all__ = [
     "ConvergenceReport",
@@ -96,7 +97,7 @@ def check_euler_equivalence(s: Scenario, pair: EquivalencePair, steps: int,
         st = advance(st)
         p = p + s.tau * (g * -frequency_deviation(listed, d, s.beta))  # Euler at h = tau
         listed = p.tolist()
-        deviation = max(deviation, max(abs(x - y) for x, y in zip(st.p, listed)))
+        deviation = max(deviation, max(map(abs, map(operator.sub, st.p, listed))))
     return EquivalenceReport(pair, deviation, steps)
 
 
@@ -229,7 +230,7 @@ def verify_steady_state_optimality(trace: SimulationTrace, s: Scenario,
 
     power_error = max(abs(x - y) for x, y in zip(last_p, target.p))
     freq_error = abs(float(trace.delta_f[-1]))
-    marginals = [marginal_cost(g.cost, pi) for g, pi in zip(s.generators, last_p)]
+    marginals = s.columns.marginal(trace.p[-1]).tolist()
     spread_error = max(marginals) - min(marginals)
 
     failures = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,46 @@ class Scenario:
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "loads", tuple(float(x) for x in self.loads))
 
+    @cached_property
+    def columns(self) -> Columns:
+        """The generators' ``Columns``, built on first use: an invalid scenario raises no
+        numpy warning while it is built and validated."""
+        gens = self.generators  # one list per column: the fastest way in at N = 1000
+        a, b, c, p_init = np.array([[g.cost.a for g in gens], [g.cost.b for g in gens],
+                                    [g.cost.c for g in gens], [g.p_init for g in gens]], dtype=float)
+        two_a = 2.0 * a
+        w = 1.0 / two_a
+        for col in (a, two_a, b, c, p_init, w):
+            col.flags.writeable = False
+        return Columns(a, two_a, b, c, p_init, w, float(w.sum()))
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """Read-only float64 columns of the generators and their rank-one kernel w = 1/(2a),
+    S = ``slope`` = sum(w); elementwise they give the bits of the scalar cost functions."""
+
+    a: np.ndarray
+    two_a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    p_init: np.ndarray
+    w: np.ndarray
+    slope: float
+
+    def solve(self, rho: float, r) -> np.ndarray:
+        """p of (diag(2a) + rho * ones) p = r in O(N) by Sherman-Morrison, y = w * r."""
+        y = self.w * r
+        return y - self.w * (rho * float(y.sum()) / (1.0 + rho * self.slope))
+
+    def total_cost(self, p) -> float:
+        """Sum of a*p**2 + b*p + c over the units, added left to right."""
+        return sum((self.a * p * p + self.b * p + self.c).tolist())
+
+    def marginal(self, p) -> np.ndarray:
+        """2*a*p + b per unit."""
+        return self.two_a * p + self.b
+
 
 @dataclass(frozen=True)
 class DispatchSolution:
@@ -125,19 +166,6 @@ def integral_gain(cost: CostCoefficients, gain_k: float, tau: float) -> float:
     return gain_k / (2.0 * cost.a * tau)
 
 
-def _rank_one(s: Scenario):
-    """w = 1/(2a), S = sum(w), and solve(rho, r): the O(N) Sherman-Morrison solution
-    p = y - w * rho * sum(y) / (1 + rho * S), y = w * r, of (diag(2a) + rho * ones) p = r."""
-    w = np.array([1.0 / (2.0 * g.cost.a) for g in s.generators])
-    slope = float(w.sum())
-
-    def solve(rho: float, r) -> np.ndarray:
-        y = w * r
-        return y - w * (rho * float(y.sum()) / (1.0 + rho * slope))
-
-    return w, slope, solve
-
-
 def total_load(s: Scenario) -> float:
     """Total demand, the sum of all load entries (MW)."""
     return sum(s.loads)
@@ -168,18 +196,20 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     if len(s.generators) < 1:
         out.append(Violation("generators", "at least one generator required"))
     seen_ids: set[str] = set()
+
+    def bad(i, field, why):  # formats the path and label only for a failed check
+        out.append(Violation(f"generators[{i}].{field}", f"{why} for generator {i + 1}"))
     for i, g in enumerate(s.generators):
-        label = f"generator {i + 1}"
         if not _finite(g.cost.a):
-            out.append(Violation(f"generators[{i}].cost.a", f"a must be finite for {label}"))
+            bad(i, "cost.a", "a must be finite")
         elif g.cost.a <= 0:
-            out.append(Violation(f"generators[{i}].cost.a", f"a must be > 0 for {label}"))
+            bad(i, "cost.a", "a must be > 0")
         if not _finite(g.cost.b):
-            out.append(Violation(f"generators[{i}].cost.b", f"b must be finite for {label}"))
+            bad(i, "cost.b", "b must be finite")
         if not _finite(g.cost.c):
-            out.append(Violation(f"generators[{i}].cost.c", f"c must be finite for {label}"))
+            bad(i, "cost.c", "c must be finite")
         if not _finite(g.p_init):
-            out.append(Violation(f"generators[{i}].p_init", f"p_init must be finite for {label}"))
+            bad(i, "p_init", "p_init must be finite")
         if g.id in seen_ids:
             out.append(Violation(f"generators[{i}].id", f"duplicate generator id '{g.id}'"))
         seen_ids.add(g.id)

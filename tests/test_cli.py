@@ -166,6 +166,112 @@ def test_parse_rejects_event_load_length_mismatch():
     assert "expected 2 loads" in str(err.value)
 
 
+def _fleet_payload(n=1000) -> dict:
+    gens = [{"id": f"G{i + 1}", "cost": {"a": 0.5 + (i % 7) * 0.25, "b": float(i % 11)},
+             "p_init": 1.0} for i in range(n)]
+    return {"format_version": 1,
+            "scenario": {"generators": gens, "loads": [10.0 * n], "gain_K": 1.0,
+                         "beta": 2.0, "tau": 1.0}}
+
+
+def _put(*keys, value):
+    def mutate(gens, i):
+        entry = gens[i]
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
+    return mutate
+
+
+def _drop(*keys):
+    def mutate(gens, i):
+        entry = gens[i]
+        for key in keys[:-1]:
+            entry = entry[key]
+        del entry[keys[-1]]
+    return mutate
+
+
+def _replace_entry(value):
+    def mutate(gens, i):
+        gens[i] = value
+    return mutate
+
+
+def _update(**fields):
+    return lambda gens, i: gens[i].update(fields)
+
+
+_INVALID = "scenario: invalid scenario: scenario.generators[{i}]"
+# One fault in one entry of a 1000-unit file -> the exact message, with {i} the
+# entry's index and {n} = i + 1; faults in the same entry report in a fixed order.
+MALFORMED_GENERATORS = {
+    "not-an-object": (_replace_entry([1.0, 2.0]),
+                      "scenario.generators[{i}]: expected a JSON object"),
+    "unknown-key": (_put("pmax", value=1.0), "scenario.generators[{i}].pmax: unknown key"),
+    "unknown-cost-key": (_put("cost", "d", value=1.0),
+                         "scenario.generators[{i}].cost.d: unknown key"),
+    "missing-id": (_drop("id"), "scenario.generators[{i}]: missing required key 'id'"),
+    "missing-cost": (_drop("cost"), "scenario.generators[{i}]: missing required key 'cost'"),
+    "missing-a": (_drop("cost", "a"), "scenario.generators[{i}].cost: missing required key 'a'"),
+    "missing-b": (_drop("cost", "b"), "scenario.generators[{i}].cost: missing required key 'b'"),
+    "cost-not-an-object": (_put("cost", value=3.0),
+                           "scenario.generators[{i}].cost: expected a JSON object"),
+    "bool-for-a": (_put("cost", "a", value=True),
+                   "scenario.generators[{i}].cost.a: expected a number"),
+    "string-for-p_init": (_put("p_init", value="1.5"),
+                          "scenario.generators[{i}].p_init: expected a number"),
+    "non-string-id": (_put("id", value=7), "scenario.generators[{i}].id: expected a string"),
+    "nan-a": (_put("cost", "a", value=float("nan")),
+              _INVALID + ".cost.a: a must be finite for generator {n}"),
+    "infinite-a": (_put("cost", "a", value=float("inf")),
+                   _INVALID + ".cost.a: a must be finite for generator {n}"),
+    "zero-a": (_put("cost", "a", value=0.0), _INVALID + ".cost.a: a must be > 0 for generator {n}"),
+    "negative-a": (_put("cost", "a", value=-1.0),
+                   _INVALID + ".cost.a: a must be > 0 for generator {n}"),
+    "two-unknown-keys": (_update(zz=1, aa=2), "scenario.generators[{i}].aa: unknown key"),
+    "unknown-before-missing": (lambda gens, i: (gens[i].pop("id"), gens[i].update(zz=1)),
+                               "scenario.generators[{i}].zz: unknown key"),
+    "missing-id-and-cost": (lambda gens, i: [gens[i].pop(k) for k in ("id", "cost")],
+                            "scenario.generators[{i}]: missing required key 'cost'"),
+    "bad-id-and-a": (_update(id=7, cost={"a": True, "b": 1.0}),
+                     "scenario.generators[{i}].cost.a: expected a number"),
+    "bad-b-and-c": (_update(cost={"a": 1.0, "b": "x", "c": "y"}),
+                    "scenario.generators[{i}].cost.b: expected a number"),
+    "every-number-non-finite": (
+        _update(cost={"a": float("nan"), "b": float("inf"), "c": float("-inf")},
+                p_init=float("nan")),
+        _INVALID + ".cost.a: a must be finite for generator {n}; "
+        "scenario.generators[{i}].cost.b: b must be finite for generator {n}; "
+        "scenario.generators[{i}].cost.c: c must be finite for generator {n}; "
+        "scenario.generators[{i}].p_init: p_init must be finite for generator {n}"),
+}
+
+
+@pytest.mark.parametrize("index", [0, 999])
+@pytest.mark.parametrize("case", sorted(MALFORMED_GENERATORS))
+def test_parse_names_malformed_generator_entries(case, index):
+    mutate, message = MALFORMED_GENERATORS[case]
+    payload = _fleet_payload()
+    mutate(payload["scenario"]["generators"], index)
+    with pytest.raises(ScenarioFileError) as err:
+        parse_scenario_file(json.dumps(payload))  # NaN and Infinity go in as JSON literals
+    assert str(err.value) == message.format(i=index, n=index + 1)
+
+
+@pytest.mark.parametrize("index, message", [
+    (0, "scenario: invalid scenario: scenario.generators[1].id: duplicate generator id 'G2'"),
+    (999, "scenario: invalid scenario: scenario.generators[999].id: duplicate generator id 'G1'"),
+])
+def test_parse_names_duplicate_generator_ids(index, message):
+    payload = _fleet_payload()
+    gens = payload["scenario"]["generators"]
+    gens[index]["id"] = gens[1 if index == 0 else 0]["id"]
+    with pytest.raises(ScenarioFileError) as err:
+        parse_scenario_file(json.dumps(payload))
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # CSV traces
 

@@ -51,8 +51,9 @@ def test_frequency_deviation_examples():
 
 
 def test_frequency_deviation_rejects_nonpositive_beta():
-    with pytest.raises(ValueError):
-        frequency_deviation((1.0,), 1.0, 0.0)
+    for beta in (0.0, -1.5, math.nan, math.inf):  # inf would read -0.0 Hz for any imbalance
+        with pytest.raises(ValueError, match="beta must be finite and > 0"):
+            frequency_deviation((4.0, 1.0), 10.0, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +299,7 @@ def test_exact_method_requires_quasi_static(scenario_r):
     # the PI law closes through delta_f = (sum(p) - D)/beta; integral control takes either model
     with pytest.raises(ValueError, match="QuasiStatic"):
         simulate(scenario_r, _cfg(PI, scenario_r), Inertial(1.5, 3.0), h=0.01, t_end=1.0)
-    with pytest.raises(ValueError, match="beta must be > 0"):
+    with pytest.raises(ValueError, match="beta must be finite and > 0"):
         simulate(scenario_r, _cfg(INTEGRAL, scenario_r), QuasiStatic(-1.5),
                  h=0.01, t_end=1.0)
 
@@ -311,7 +312,8 @@ def test_exact_method_requires_quasi_static(scenario_r):
     (Inertial(1.0, -5.0), "d_damp must be finite and >= 0"),
     (Inertial(1.0, math.nan), "d_damp must be finite and >= 0"),
     (Inertial(1.0, math.inf), "d_damp must be finite and >= 0"),
-    (QuasiStatic(math.nan), "beta must be > 0"),
+    (QuasiStatic(math.nan), "beta must be finite and > 0"),
+    (QuasiStatic(math.inf), "beta must be finite and > 0"),  # an open loop, not a balanced one
 ])
 def test_simulate_refuses_invalid_frequency_models(scenario_r, model, message):
     cfg = _cfg(INTEGRAL, scenario_r)

@@ -1,4 +1,5 @@
-"""Properties of the closed loop on drawn scenarios: the exact propagator against RK4."""
+"""Properties on drawn scenarios: the exact propagator against RK4, the solvers against
+the closed form, and the scenario file format against itself."""
 
 import math
 from dataclasses import dataclass
@@ -9,15 +10,30 @@ from hypothesis import assume, example, given, settings, strategies as st
 from freqdispatch import (
     ControllerConfig,
     ControllerKind,
+    CostCoefficients,
     FrequencyModel,
+    Generator,
     Inertial,
+    LoadEvent,
     QuasiStatic,
     Scenario,
     SimulationTrace,
+    aggregate_power_slope,
+    analytic_dispatch,
+    dual_ascent_solve,
     integral_rhs,
+    mom_solve,
     pi_rhs,
     settling_time,
     simulate,
+    stability_bound_alpha,
+)
+from freqdispatch.cli import (
+    ScenarioFile,
+    SimulationOptions,
+    SolverOptions,
+    parse_scenario_file,
+    serialize_scenario_file,
 )
 
 from conftest import make_scenario, rk4_trace
@@ -167,3 +183,71 @@ def test_settling_time_agrees_between_exact_and_rk4(loop, band):
     for trace in (exact, rk4):  # a sample this close to eps may fall either side of it
         assume(not np.any(np.abs(np.abs(trace.delta_f) - eps) <= 1e-6 * eps))
     assert settling_time(exact, eps) == settling_time(rk4, eps)
+
+
+# ---------------------------------------------------------------------------
+# The iterative solvers against the closed form
+
+@st.composite
+def dispatch_cases(draw):
+    """A scenario with N in 1..10, a stable dual step alpha = share * 2/S with the
+    share in [0.05, 0.95] (so |1 - alpha*S| <= 0.9), and a penalty rho with rho*S
+    in [0.05, 1000]."""
+    n = draw(st.integers(1, 10))
+    s = make_scenario(draw(_floats(0.1, 5.0, n)), draw(_floats(0.0, 20.0, n)),
+                      draw(st.lists(st.floats(1.0, 50.0), min_size=1, max_size=3)))
+    alpha = draw(st.floats(0.05, 0.95)) * stability_bound_alpha(s)
+    rho = 10.0 ** draw(st.floats(math.log10(0.05), 3.0)) / aggregate_power_slope(s)
+    return s, alpha, rho
+
+
+@BOUNDED
+@given(case=dispatch_cases())
+def test_dual_and_mom_converge_to_the_closed_form(case):
+    # At |imbalance| = e both iterates sit w_i e/S <= e from the optimum, since
+    # every unit's power error is its share of the price error.
+    s, alpha, rho = case
+    optimum = analytic_dispatch(s)
+    tol = 1e-9 * sum(s.loads)
+    for trace in (dual_ascent_solve(s, alpha, tol), mom_solve(s, rho, tol)):
+        assert trace.converged
+        last = trace.states[-1]
+        scale = max(1.0, *map(abs, optimum.p))
+        assert max(abs(x - y) for x, y in zip(last.p, optimum.p)) <= tol + 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# The scenario file format
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def scenario_files(draw) -> ScenarioFile:
+    """Valid files with 1-50 generators (c and p_init drawn or left at their
+    defaults) and optional solver and simulation blocks."""
+    n = draw(st.integers(1, 50))
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=n, max_size=n, unique=True))
+    gens = tuple(Generator(i, CostCoefficients(draw(_positive), draw(_finite),
+                                               draw(st.one_of(st.just(0.0), _finite))),
+                           draw(st.one_of(st.just(0.0), _finite)))
+                 for i in ids)
+    loads = tuple(draw(st.lists(_finite, min_size=1, max_size=4)))
+    s = Scenario(gens, loads, draw(_positive), draw(_positive), draw(_positive))
+    optional = lambda strategy: st.one_of(st.none(), strategy)  # noqa: E731
+    solver = draw(optional(st.builds(
+        SolverOptions, alpha=optional(_positive), rho=optional(_positive), tol=_positive,
+        max_iter=st.integers(1, 10 ** 6), lambda0=optional(_finite))))
+    times = sorted(draw(st.lists(st.floats(0.0, 1e6), max_size=3)))
+    events = tuple(LoadEvent(t, tuple(draw(_floats(-1e6, 1e6, len(loads))))) for t in times)
+    simulation = draw(optional(st.builds(
+        SimulationOptions, controller=st.sampled_from(list(ControllerKind)),
+        h=optional(_positive), t_end=optional(_positive), events=st.just(events))))
+    return ScenarioFile(1, s, solver, simulation)
+
+
+@BOUNDED
+@given(sf=scenario_files())
+def test_parse_inverts_serialize(sf):
+    assert parse_scenario_file(serialize_scenario_file(sf)) == sf

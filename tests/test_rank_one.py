@@ -1,16 +1,22 @@
-"""The rank-one kernel: O(N) method-of-multipliers step, gains once per run."""
+"""The rank-one kernel: O(N) method-of-multipliers step, columns once per scenario."""
 
 import numpy as np
 import pytest
 
 import freqdispatch.dynamics as dynamics
+import freqdispatch.model as model
 from freqdispatch import (
     ControllerConfig,
     ControllerKind,
     EquivalencePair,
     SimState,
+    aggregate_power_slope,
     check_euler_equivalence,
     compare_convergence,
+    dual_ascent_solve,
+    frequency_deviation,
+    integral_gain,
+    integral_rhs,
     mom_inner_minimize,
     mom_solve,
     pi_rhs,
@@ -60,36 +66,57 @@ def test_mom_solve_needs_no_dense_solve(monkeypatch):
     assert trace.states[-1].p == pytest.approx((7.0, 3.0), abs=1e-5)
 
 
-def _count_gain_calls(monkeypatch):
-    calls = []
-    original = dynamics.integral_gain
+def _count_column_builds(monkeypatch):
+    builds = []
+    original = model.Columns
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(*columns):
+        builds.append(len(columns[0]))
+        return original(*columns)
 
-    monkeypatch.setattr(dynamics, "integral_gain", counting)
-    return calls
+    monkeypatch.setattr(model, "Columns", counting)
+    return builds
 
 
 @pytest.mark.parametrize("kind", [INTEGRAL, PI])
 def test_simulate_computes_gains_once_per_run(monkeypatch, kind):
+    # One Scenario's columns serve both solvers, a closed-loop run and ten public
+    # steps (four gain vectors each): they are built once, not once per use.
     s = make_scenario([0.5, 1.0, 2.0], [1.0, 2.0, 3.0], [6.0, 4.0],
                       p_init=[4.0, 3.0, 2.0], beta=1.5)
-    calls = _count_gain_calls(monkeypatch)
-    trace = simulate(s, ControllerConfig(kind, s.gain_K, s.tau), h=0.01, t_end=5.0,
-                     events=[(1.0, (7.2, 4.8))])
+    builds = _count_column_builds(monkeypatch)
+    cfg = ControllerConfig(kind, s.gain_K, s.tau)
+    assert mom_solve(s, 0.5).converged
+    assert dual_ascent_solve(s, 0.5).converged
+    trace = simulate(s, cfg, h=0.01, t_end=5.0, events=[(1.0, (7.2, 4.8))])
     assert len(trace.t) == 501
-    assert len(calls) <= len(s.generators)
+    state = SimState(0.0, (4.0, 3.0, 2.0), frequency_deviation((4.0, 3.0, 2.0), 10.0, 1.5))
+    for _ in range(10):
+        state = step_rk4(integral_rhs if kind is INTEGRAL else pi_rhs, state, s, cfg, 0.01)
+    assert builds == [3]
 
 
 @pytest.mark.parametrize("pair", list(EquivalencePair))
 def test_equivalence_computes_gains_once_per_run(monkeypatch, pair):
     s = reference_scenario()
-    calls = _count_gain_calls(monkeypatch)
+    builds = _count_column_builds(monkeypatch)
     report = check_euler_equivalence(s, pair, steps=50, lambda0=0.0)
     assert report.max_abs_deviation <= 1e-9
-    assert len(calls) <= len(s.generators)
+    assert builds == [2]
+
+
+@pytest.mark.parametrize("kind", [INTEGRAL, PI])
+@pytest.mark.parametrize("n", [1, 2, 3, 1000])
+def test_gains_match_integral_gain_bitwise(kind, n):
+    # the cached-column expression against the per-generator reference it replaced
+    rng = np.random.default_rng(3000 + n)
+    s = make_scenario(rng.uniform(0.1, 5.0, n), rng.uniform(0.0, 20.0, n), [10.0],
+                      gain_K=0.7, beta=2.3, tau=1.3)
+    want = [integral_gain(g.cost, s.gain_K, s.tau) for g in s.generators]
+    if kind is PI:
+        factor = s.beta / (s.beta + s.gain_K * aggregate_power_slope(s))
+        want = [x * factor for x in want]
+    assert dynamics._gains(s, ControllerConfig(kind, s.gain_K, s.tau)).tolist() == want
 
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
