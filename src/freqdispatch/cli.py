@@ -1,7 +1,8 @@
 """Command-line front end: scenario files in, JSON summaries and CSV traces out.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 scenario validation error,
-3 solver diverged.
+3 solver diverged. Arithmetic that overflows the float range gives inf or NaN,
+which the JSON summaries write as null.
 """
 
 from __future__ import annotations
@@ -128,7 +129,10 @@ def _check_keys(obj, path, required, allowed):
 def _number(value, path, key) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFileError(_where((*path, key)), "expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range reads as a float literal that large
+        return math.inf if value > 0 else -math.inf
 
 
 def _integer(value, path, key) -> int:
@@ -303,7 +307,7 @@ def serialize_scenario_file(sf: ScenarioFile) -> str:
 # ---------------------------------------------------------------------------
 # CSV traces
 
-_CSV_BLOCK_ROWS = 32  # simulation CSV rows formatted per block
+_CSV_BLOCK_CELLS = 4096  # simulation CSV cells formatted per block: a few hundred kB
 
 
 def _fmt(x: float) -> str:
@@ -311,7 +315,14 @@ def _fmt(x: float) -> str:
 
 
 def write_trace_csv(trace, sink) -> None:
-    """Write a solver or simulation trace as CSV with round-trip-exact floats."""
+    """Write a solver or simulation trace as CSV with round-trip-exact floats.
+
+    Every float cell holds exactly ``format(x, ".17g")``. A simulation trace is
+    written in blocks of rows, and a block that repeats values formats each
+    distinct value once: started from an economic operating point, the loop
+    keeps every unit at one marginal cost, so most of a row's marginal-cost
+    cells hold the same few values.
+    """
     if isinstance(trace, IterationTrace):
         _write_iteration_csv(trace, sink)
     elif isinstance(trace, SimulationTrace):
@@ -337,11 +348,22 @@ def _write_simulation_csv(trace: SimulationTrace, sink) -> None:
         + [f"marginal_cost_{i + 1}" for i in range(n)]
     sink.write(",".join(header) + "\n")
     row = ",".join(["%.17g"] * (2 * n + 2)) + "\n"  # "%.17g" is format(x, ".17g")
-    for i in range(0, len(trace.t), _CSV_BLOCK_ROWS):  # one block of rows in memory at a time
-        block = slice(i, i + _CSV_BLOCK_ROWS)
+    block_rows = max(1, _CSV_BLOCK_CELLS // (2 * n + 2))
+    for i in range(0, len(trace.t), block_rows):  # one block of rows in memory at a time
+        block = slice(i, i + block_rows)
         p = trace.p[block]
         table = np.column_stack([trace.t[block], p, trace.delta_f[block], cols.marginal(p)])
-        sink.writelines(row % tuple(values.tolist()) for values in table)
+        bits = table.view(np.int64)  # keyed on bits: -0.0 and 0.0 format differently
+        ordered = np.sort(bits, axis=None)  # the distinct count at a tenth of np.unique's cost
+        if 4 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > 3 * table.size:
+            # over 3/4 of the cells distinct: formatting row by row is cheaper
+            sink.writelines(row % tuple(values.tolist()) for values in table)
+            continue
+        distinct, index = np.unique(bits, return_inverse=True)
+        text = ",".join(["%.17g"] * len(distinct)) % tuple(distinct.view(np.float64).tolist())
+        index = index.reshape(table.shape)  # its shape for axis=None varies across numpy versions
+        cells = np.array(text.split(","), dtype=object)[index]
+        sink.writelines(",".join(values) + "\n" for values in cells.tolist())
 
 
 def _write_sweep_csv(records, sink) -> None:
@@ -653,7 +675,8 @@ def run_command(argv) -> int:
 
     handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        with np.errstate(all="ignore"):  # overflow gives inf or NaN, which _jsonable writes as null
+            return handler(args)
     except ScenarioFileError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -225,7 +225,7 @@ def verify_steady_state_optimality(trace: SimulationTrace, s: Scenario,
     costs agree to within tol. Failed checks are listed, not raised.
     """
     final_loads = trace.events[-1].loads if trace.events else s.loads
-    target = analytic_dispatch(replace(s, loads=final_loads))
+    target = analytic_dispatch(s.replace(loads=final_loads))
     last_p = trace.p[-1].tolist()
 
     power_error = max(abs(x - y) for x, y in zip(last_p, target.p))
@@ -293,7 +293,7 @@ def sweep(s: Scenario, parameter: str, values, tol: float = 1e-6, *,
                 mom=_method_summary(trace, tol, mom_contraction_factor(s, v)),
                 settling_integral=None, settling_pi=None))
         else:
-            s_v = replace(s, gain_K=v) if parameter == "K" else replace(s, tau=v)
+            s_v = s.replace(gain_K=v) if parameter == "K" else s.replace(tau=v)
             coupling = s_v.gain_K / s_v.beta
             report = compare_convergence(s_v, coupling, coupling, tol,
                                          max_iter=max_iter, lambda0=lambda0)

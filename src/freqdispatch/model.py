@@ -11,6 +11,7 @@ seconds.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -91,6 +92,15 @@ class Scenario:
         for col in (a, two_a, b, c, p_init, w):
             col.flags.writeable = False
         return Columns(a, two_a, b, c, p_init, w, float(w.sum()))
+
+    def replace(self, **changes) -> Scenario:
+        """``dataclasses.replace`` that shares this scenario's columns unless the
+        generators change: the copies with other loads, gains or time constants
+        build no columns of their own."""
+        out = dataclasses.replace(self, **changes)
+        if "generators" not in changes:
+            out.__dict__["columns"] = self.columns  # where cached_property keeps its value
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,10 +210,13 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     def bad(i, field, why):  # formats the path and label only for a failed check
         out.append(Violation(f"generators[{i}].{field}", f"{why} for generator {i + 1}"))
     for i, g in enumerate(s.generators):
-        if not _finite(g.cost.a):
+        a = g.cost.a
+        if not _finite(a):
             bad(i, "cost.a", "a must be finite")
-        elif g.cost.a <= 0:
+        elif a <= 0:
             bad(i, "cost.a", "a must be > 0")
+        elif not 0.0 < 1.0 / (2.0 * a) < math.inf:  # the weight w = 1/(2a), 0 if 2a overflows
+            bad(i, "cost.a", "a must keep 2a and 1/(2a) finite")
         if not _finite(g.cost.b):
             bad(i, "cost.b", "b must be finite")
         if not _finite(g.cost.c):

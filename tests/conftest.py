@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from freqdispatch import (
     step_rk4,
     total_load,
 )
+from freqdispatch.model import marginal_cost
 
 # The two-generator reference scenario used throughout: costs
 # 0.5*p^2 + p and p^2 + 2*p, total demand 10, K=1, beta=1.5, tau=1.
@@ -114,3 +116,23 @@ def rk4_trace(rhs, s: Scenario, cfg, model=None, *, h: float, n_steps: int,
         states.append(state)
     return SimulationTrace(np.arange(n_steps + 1) * h, np.array([st.p for st in states]),
                            np.array([st.delta_f for st in states]), snapped, cfg, model, s)
+
+
+def reference_simulation_csv(trace) -> str:
+    """Row by row: every value through format(x, ".17g"), costs through marginal_cost."""
+    gens = trace.scenario.generators
+    n = len(gens)
+    lines = [",".join(["t"] + [f"p_{i + 1}" for i in range(n)] + ["delta_f"]
+                      + [f"marginal_cost_{i + 1}" for i in range(n)])]
+    for t, p, df in zip(trace.t.tolist(), trace.p.tolist(), trace.delta_f.tolist()):
+        marginals = [marginal_cost(g.cost, x) for g, x in zip(gens, p)]
+        lines.append(",".join(format(x, ".17g") for x in [t, *p, df, *marginals]))
+    return "\n".join(lines) + "\n"
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which strict JSON has no words for."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)

@@ -22,9 +22,9 @@ from freqdispatch.cli import (
     serialize_scenario_file,
     write_trace_csv,
 )
-from freqdispatch.model import ControllerConfig, marginal_cost
+from freqdispatch.model import ControllerConfig
 
-from conftest import make_scenario, reference_scenario
+from conftest import make_scenario, reference_scenario, reference_simulation_csv, strict_json
 
 REFERENCE_JSON = {
     "format_version": 1,
@@ -229,6 +229,14 @@ MALFORMED_GENERATORS = {
     "zero-a": (_put("cost", "a", value=0.0), _INVALID + ".cost.a: a must be > 0 for generator {n}"),
     "negative-a": (_put("cost", "a", value=-1.0),
                    _INVALID + ".cost.a: a must be > 0 for generator {n}"),
+    "a-past-float-range": (_put("cost", "a", value=10 ** 400),  # an integer no float holds
+                           _INVALID + ".cost.a: a must be finite for generator {n}"),
+    "a-with-infinite-2a": (_put("cost", "a", value=1e308),
+                           _INVALID + ".cost.a: a must keep 2a and 1/(2a) finite "
+                                      "for generator {n}"),
+    "a-with-infinite-weight": (_put("cost", "a", value=5e-324),
+                               _INVALID + ".cost.a: a must keep 2a and 1/(2a) finite "
+                                          "for generator {n}"),
     "two-unknown-keys": (_update(zz=1, aa=2), "scenario.generators[{i}].aa: unknown key"),
     "unknown-before-missing": (lambda gens, i: (gens[i].pop("id"), gens[i].update(zz=1)),
                                "scenario.generators[{i}].zz: unknown key"),
@@ -326,18 +334,6 @@ def test_empty_simulation_trace_writes_header_only(scenario_r):
         "t,p_1,p_2,delta_f,marginal_cost_1,marginal_cost_2"]
 
 
-def _reference_simulation_csv(trace) -> str:
-    """Row by row: every value through format(x, ".17g"), costs through marginal_cost."""
-    gens = trace.scenario.generators
-    n = len(gens)
-    lines = [",".join(["t"] + [f"p_{i + 1}" for i in range(n)] + ["delta_f"]
-                      + [f"marginal_cost_{i + 1}" for i in range(n)])]
-    for t, p, df in zip(trace.t.tolist(), trace.p.tolist(), trace.delta_f.tolist()):
-        marginals = [marginal_cost(g.cost, x) for g, x in zip(gens, p)]
-        lines.append(",".join(format(x, ".17g") for x in [t, *p, df, *marginals]))
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 50])
 def test_simulation_csv_matches_row_by_row_reference(n):
     if n == 0:  # the empty trace, on two generators
@@ -353,20 +349,21 @@ def test_simulation_csv_matches_row_by_row_reference(n):
         trace = simulate(s, cfg, h=0.1, t_end=3.0, events=[(1.0, (33.0, 1e-3))])
     sink = io.StringIO()
     write_trace_csv(trace, sink)
-    assert sink.getvalue() == _reference_simulation_csv(trace)
+    assert sink.getvalue() == reference_simulation_csv(trace)
 
 
 def test_simulation_csv_blocks_match_row_by_row_reference():
     # a row count that is not a multiple of the writer's block size
     s = make_scenario([0.5, 1.0, 2.0], [1.0, 2.0, -3.0], [6.0, 4.0],
                       p_init=[4.0, 3.0, 2.0], beta=1.5)
-    rows = 2 * cli._CSV_BLOCK_ROWS + 3
+    block_rows = cli._CSV_BLOCK_CELLS // (2 * 3 + 2)
+    rows = 2 * block_rows + 3
     cfg = ControllerConfig(ControllerKind.INTEGRAL, s.gain_K, s.tau)
     trace = simulate(s, cfg, h=0.1, t_end=(rows - 1) * 0.1, events=[(3.0, (7.2, 4.8))])
-    assert len(trace.t) == rows and rows % cli._CSV_BLOCK_ROWS != 0
+    assert len(trace.t) == rows and rows % block_rows != 0
     sink = io.StringIO()
     write_trace_csv(trace, sink)
-    assert sink.getvalue() == _reference_simulation_csv(trace)
+    assert sink.getvalue() == reference_simulation_csv(trace)
 
 
 def test_write_trace_csv_rejects_unknown_types():
@@ -534,18 +531,11 @@ def test_help_exits_cleanly(capsys):
 # ---------------------------------------------------------------------------
 # non-finite input: a clean exit code and strict JSON on stdout
 
-def _strict_json(text):
-    def reject(name):
-        raise ValueError(f"non-standard JSON constant {name}")
-
-    return json.loads(text, parse_constant=reject)
-
-
 def test_nan_solver_block_exit_2(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text(reference_text(solver={"alpha": float("nan"), "tol": float("nan")}))
     assert run_command(["validate", str(path)]) == 2
-    payload = _strict_json(capsys.readouterr().out)
+    payload = strict_json(capsys.readouterr().out)
     assert payload == {"valid": False, "error": "solver.alpha: must be finite"}
     assert run_command(["iterate", str(path), "--method", "dual"]) == 2
     captured = capsys.readouterr()
@@ -560,9 +550,39 @@ def test_nan_iterate_output_is_strict_json(scenario_file, capsys):
     code = run_command(["iterate", scenario_file, "--method", "dual",
                         "--alpha", "1e308", "--lambda0", "0"])
     assert code == 3
-    payload = _strict_json(capsys.readouterr().out)
+    payload = strict_json(capsys.readouterr().out)
     assert payload["stop_reason"] == "diverged"
     assert payload["alpha"] == 1e308 and payload["lambda"] is None
+
+
+_BIG = 10 ** 400  # json reads 1e400 as inf, but this as an int that float() refuses
+
+
+@pytest.mark.parametrize("extra, error", [
+    ({"scenario": {**REFERENCE_JSON["scenario"], "tau": _BIG}},
+     "scenario: invalid scenario: scenario.tau: tau must be finite"),
+    ({"scenario": {**REFERENCE_JSON["scenario"], "loads": [6.0, -_BIG]}},
+     "scenario: invalid scenario: scenario.loads[1]: load 2 must be finite"),
+    ({"simulation": {"controller": "pi", "h": _BIG}}, "simulation.h: must be finite"),
+], ids=["tau", "loads", "h"])
+def test_integer_past_float_range_reads_as_infinite(tmp_path, capsys, extra, error):
+    path = tmp_path / "big.json"
+    path.write_text(reference_text(**extra))
+    assert run_command(["validate", str(path)]) == 2
+    assert strict_json(capsys.readouterr().out) == {"valid": False, "error": error}
+
+
+def test_overflowing_arithmetic_prints_null(tmp_path, capsys):
+    # The cost a*p**2 at p ~ 1e155 overflows: written as null, with no numpy
+    # warning (an error under this suite's warning filter) on the way.
+    path = tmp_path / "huge.json"
+    path.write_text(reference_text(scenario={**REFERENCE_JSON["scenario"],
+                                             "loads": [1.5e155, 0.0]}))
+    assert run_command(["dispatch", str(path)]) == 0
+    payload = strict_json(capsys.readouterr().out)
+    assert payload["total_cost"] is None and payload["lambda_star"] == pytest.approx(1e155)
+    assert run_command(["simulate", str(path), "--controller", "pi"]) == 0
+    assert strict_json(capsys.readouterr().out)["samples"] == 10001
 
 
 def test_infinite_t_end_in_file_exit_2(tmp_path, capsys):
@@ -570,7 +590,7 @@ def test_infinite_t_end_in_file_exit_2(tmp_path, capsys):
     path.write_text(reference_text(simulation={"controller": "integral",
                                                "t_end": float("inf")}))
     assert run_command(["validate", str(path)]) == 2
-    payload = _strict_json(capsys.readouterr().out)
+    payload = strict_json(capsys.readouterr().out)
     assert payload == {"valid": False, "error": "simulation.t_end: must be finite"}
     assert run_command(["simulate", str(path), "--controller", "integral"]) == 2
     assert capsys.readouterr().out == ""
@@ -607,11 +627,11 @@ def test_solver_flags_override_the_file_block(tmp_path, capsys):
     path = tmp_path / "solver.json"
     path.write_text(reference_text(solver={"alpha": 0.5, "tol": 1e-3, "lambda0": 0.0}))
     assert run_command(["iterate", str(path), "--method", "dual", "--tol", "1e-9"]) == 0
-    payload = _strict_json(capsys.readouterr().out)
+    payload = strict_json(capsys.readouterr().out)
     assert payload["alpha"] == 0.5
     assert payload["converged"] is True and abs(payload["imbalance"]) < 1e-9
     assert run_command(["compare", str(path), "--alpha", "0.25"]) == 0
-    payload = _strict_json(capsys.readouterr().out)
+    payload = strict_json(capsys.readouterr().out)
     assert payload["alpha"] == 0.25 and payload["rho"] == 1.0 / 1.5
 
 
@@ -622,7 +642,7 @@ def test_compare_reads_solver_max_iter(tmp_path, capsys):
     path = tmp_path / "solver.json"
     path.write_text(reference_text(solver=ONE_ITERATION))
     assert run_command(["compare", str(path)]) == 0
-    dual = _strict_json(capsys.readouterr().out)["dual"]
+    dual = strict_json(capsys.readouterr().out)["dual"]
     assert dual["iterations"] == 1
     assert dual["converged"] is False and dual["stop_reason"] == "max_iterations"
 
@@ -631,7 +651,7 @@ def test_sweep_reads_solver_max_iter(tmp_path, capsys):
     path = tmp_path / "solver.json"
     path.write_text(reference_text(solver=ONE_ITERATION))
     assert run_command(["sweep", str(path), "--param", "K", "--values", "1.0"]) == 0
-    (record,) = _strict_json(capsys.readouterr().out)["records"]
+    (record,) = strict_json(capsys.readouterr().out)["records"]
     # at alpha = rho = K/beta dual ascent is deadbeat and MoM halves the imbalance
     assert record["dual"]["iterations"] == 1 and record["dual"]["converged"] is True
     assert record["mom"]["iterations"] == 1

@@ -1,10 +1,17 @@
 """Properties on drawn scenarios: the exact propagator against RK4, the solvers against
-the closed form, and the scenario file format against itself."""
+the closed form, the scenario file format against itself, and the simulation CSV
+against its row-by-row reference; and the command line on fuzzed files and flags."""
 
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from freqdispatch import (
@@ -28,15 +35,19 @@ from freqdispatch import (
     simulate,
     stability_bound_alpha,
 )
+from freqdispatch import cli
 from freqdispatch.cli import (
     ScenarioFile,
     SimulationOptions,
     SolverOptions,
     parse_scenario_file,
+    run_command,
     serialize_scenario_file,
+    write_trace_csv,
 )
 
-from conftest import make_scenario, rk4_trace
+from conftest import (economic_start, make_scenario, reference_simulation_csv, rk4_trace,
+                      strict_json)
 
 INTEGRAL = ControllerKind.INTEGRAL
 PI = ControllerKind.PROPORTIONAL_INTEGRAL
@@ -221,6 +232,7 @@ def test_dual_and_mom_converge_to_the_closed_form(case):
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_slope = _positive.filter(lambda a: 2.0 * a < math.inf and 1.0 / (2.0 * a) < math.inf)
 
 
 @st.composite
@@ -229,7 +241,7 @@ def scenario_files(draw) -> ScenarioFile:
     defaults) and optional solver and simulation blocks."""
     n = draw(st.integers(1, 50))
     ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=n, max_size=n, unique=True))
-    gens = tuple(Generator(i, CostCoefficients(draw(_positive), draw(_finite),
+    gens = tuple(Generator(i, CostCoefficients(draw(_slope), draw(_finite),
                                                draw(st.one_of(st.just(0.0), _finite))),
                            draw(st.one_of(st.just(0.0), _finite)))
                  for i in ids)
@@ -251,3 +263,171 @@ def scenario_files(draw) -> ScenarioFile:
 @given(sf=scenario_files())
 def test_parse_inverts_serialize(sf):
     assert parse_scenario_file(serialize_scenario_file(sf)) == sf
+
+
+# ---------------------------------------------------------------------------
+# The simulation CSV against its row-by-row reference
+
+def _csv(trace) -> str:
+    sink = io.StringIO()
+    write_trace_csv(trace, sink)
+    return sink.getvalue()
+
+
+@st.composite
+def csv_traces(draw) -> SimulationTrace:
+    """N in 1..60, started on the economic dispatch (every marginal cost equal, so
+    rows repeat values) or off it (few repeats), over 0-3 whole blocks of the
+    writer plus part of one, with an optional load step."""
+    n = draw(st.integers(1, 60))
+    s = make_scenario(draw(_floats(0.1, 5.0, n)), draw(_floats(-20.0, 20.0, n)),
+                      draw(_floats(1.0, 50.0, 2)), p_init=draw(_floats(-10.0, 30.0, n)),
+                      beta=draw(st.floats(0.5, 5.0)), tau=draw(st.floats(0.2, 5.0)))
+    if draw(st.booleans()):
+        s = economic_start(s)
+    block = max(1, cli._CSV_BLOCK_CELLS // (2 * n + 2))
+    steps = draw(st.integers(0, 3)) * block + draw(st.integers(2, block + 1))  # t_end > h
+    h = s.tau * draw(st.floats(0.01, 1.0))
+    events = [(draw(st.integers(0, steps)) * h, tuple(draw(_floats(1.0, 50.0, 2))))
+              for _ in range(draw(st.integers(0, 1)))]
+    cfg = ControllerConfig(draw(st.sampled_from([INTEGRAL, PI])), s.gain_K, s.tau)
+    return simulate(s, cfg, h=h, t_end=steps * h, events=events)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(trace=csv_traces())
+def test_simulation_csv_matches_reference_on_drawn_runs(trace):
+    assert _csv(trace) == reference_simulation_csv(trace)
+
+
+@BOUNDED
+@given(data=st.data())
+def test_simulation_csv_keeps_signed_zeros(data):
+    # -0.0 and 0.0 are one value but two cells: "-0" and "0"
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(st.integers(1, 50))
+    cells = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 5e-324, -5e-324, math.inf, math.nan])
+    s = make_scenario([1.0] * n, data.draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                                    min_size=n, max_size=n)), [1.0])
+    p = np.array(data.draw(st.lists(cells, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+    trace = SimulationTrace(np.array(data.draw(_floats(-1.0, 1.0, rows))), p,
+                            np.array(data.draw(st.lists(cells, min_size=rows, max_size=rows))),
+                            (), ControllerConfig(INTEGRAL, 1.0, 1.0), QuasiStatic(1.0), s)
+    assert _csv(trace) == reference_simulation_csv(trace)
+
+
+@pytest.mark.parametrize("economic", [True, False])
+def test_simulation_csv_row_wider_than_a_block(economic):
+    n = cli._CSV_BLOCK_CELLS // 2 + 7  # 2n + 2 cells per row: one block holds part of a row
+    rng = np.random.default_rng(n)
+    s = make_scenario(rng.uniform(0.1, 5.0, n), rng.uniform(-20.0, 20.0, n), [40.0, 25.0],
+                      p_init=rng.uniform(-10.0, 30.0, n))
+    s = economic_start(s) if economic else s
+    trace = simulate(s, ControllerConfig(PI, s.gain_K, s.tau), h=0.25, t_end=1.0,
+                     events=[(0.5, (45.0, 25.0))])
+    assert _csv(trace) == reference_simulation_csv(trace)
+
+
+# ---------------------------------------------------------------------------
+# The command line on fuzzed scenario files and flags
+
+# Values at and past the edges of a field's domain: any float (NaN and the
+# infinities too), the ends of the float range, zero of both signs, and
+# integers that no float holds.
+_EXTREME = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324, 1e154]),
+                     st.integers(-10 ** 400, 10 ** 400))
+
+
+@st.composite
+def _number(draw, lo, hi):
+    """Mostly a sane value in [lo, hi]; one time in twenty an extreme one."""
+    return draw(_EXTREME) if draw(st.integers(0, 19)) == 0 else draw(st.floats(lo, hi))
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+                     lambda inner: st.lists(inner, max_size=2)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+                     max_leaves=4)
+
+
+@st.composite
+def _scenario_documents(draw) -> str:
+    """Scenario files from well-formed to broken: drawn fields and blocks, then a
+    chance of one node replaced, a key dropped or added, or the text cut short.
+    A drawn simulation block keeps t_end/h <= 500: a trace holds t_end/h + 1 rows."""
+    n, n_loads = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    loads = lambda: [draw(_number(1.0, 50.0)) for _ in range(n_loads)]  # noqa: E731
+    gens = [{"id": f"g{i}", "p_init": draw(_number(-10.0, 30.0)),
+             "cost": {"a": draw(_number(0.1, 5.0)), "b": draw(_number(-20.0, 20.0)),
+                      "c": draw(_number(-5.0, 5.0))}} for i in range(n)]
+    scenario = {"generators": gens, "loads": loads(), "gain_K": draw(_number(0.2, 5.0)),
+                "beta": draw(_number(0.2, 5.0)), "tau": draw(_number(0.2, 5.0))}
+    doc = {"format_version": 1, "scenario": scenario}
+    if draw(st.booleans()):
+        doc["solver"] = {"alpha": draw(_number(0.01, 1.0)), "rho": draw(_number(0.01, 10.0)),
+                         "tol": draw(_number(1e-9, 1e-3)), "lambda0": draw(_number(-50.0, 50.0)),
+                         "max_iter": draw(st.integers(-1, 300))}
+    if draw(st.booleans()):
+        h = draw(_number(0.01, 1.0))
+        t_end = h * draw(st.floats(0.0, 500.0)) if isinstance(h, float) else h
+        events = [{"time": draw(_number(0.0, 20.0)), "loads": loads()}
+                  for _ in range(draw(st.integers(0, 2)))]
+        doc["simulation"] = {"controller": draw(st.sampled_from(["integral", "pi", "PI"])),
+                             "h": h, "t_end": t_end, "events": events}
+    parent, key = draw(st.sampled_from([(doc, "scenario"), (scenario, "loads"), (scenario, "tau"),
+                                        (gens[0], "cost"), (gens[0]["cost"], "a")]))
+    damage = draw(st.sampled_from(["none", "none", "none", "replace", "drop", "add", "cut"]))
+    if damage == "replace":
+        parent[key] = draw(_JSON)
+    elif damage == "drop":
+        del parent[key]
+    elif damage == "add":
+        parent["extra"] = draw(_JSON)
+    text = json.dumps(doc)  # NaN and Infinity as Python's json writes (and reads) them
+    return text[:draw(st.integers(0, len(text)))] if damage == "cut" else text
+
+
+_COMMANDS = {  # command -> (its required arguments, drawn; its optional flags)
+    "validate": (lambda draw: [], ()),
+    "dispatch": (lambda draw: [], ("--oracle", "--grid-step")),
+    "iterate": (lambda draw: ["--method", draw(st.sampled_from(["dual", "mom"]))],
+                ("--alpha", "--rho", "--tol", "--max-iter", "--lambda0", "--out-csv")),
+    "simulate": (lambda draw: ["--controller", draw(st.sampled_from(["integral", "pi"]))],
+                 ("--eps", "--out-csv")),
+    "compare": (lambda draw: [], ("--alpha", "--rho", "--tol", "--lambda0")),
+    "sweep": (lambda draw: ["--param", draw(st.sampled_from(["alpha", "rho", "K", "tau"])),
+                            "--values", *(str(draw(_number(0.05, 3.0)))
+                                          for _ in range(draw(st.integers(1, 2))))],
+              ("--tol", "--out-csv")),
+    "equivalence": (lambda draw: ["--pair", draw(st.sampled_from(["dual-integral", "mom-pi"]))],
+                    ("--steps", "--lambda0")),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(text=_scenario_documents(), command=st.sampled_from(sorted(_COMMANDS)), data=st.data())
+def test_run_command_never_raises_and_prints_strict_json(text, command, data):
+    required, optional = _COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [command, path, *required(data.draw)]
+        for flag in data.draw(st.lists(st.sampled_from(optional), unique=True)) if optional else ():
+            if flag == "--oracle":
+                argv.append(flag)
+            elif flag == "--out-csv":  # a directory is an I/O error
+                argv += [flag, data.draw(st.sampled_from([os.path.join(tmp, "out.csv"), tmp]))]
+            elif flag in ("--max-iter", "--steps"):
+                argv += [flag, str(data.draw(st.integers(-2, 300)))]
+            else:
+                argv += [flag, str(data.draw(_number(0.01, 2.0)))]
+        if command == "simulate" and data.draw(st.booleans()):
+            h = data.draw(st.floats(1e-3, 10.0))
+            argv += ["--h", repr(h), "--t-end", repr(h * data.draw(st.floats(0.0, 500.0)))]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run_command(argv)
+    assert code in (0, 1, 2, 3)
+    if out.getvalue():
+        strict_json(out.getvalue())

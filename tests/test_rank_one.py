@@ -23,10 +23,12 @@ from freqdispatch import (
     simulate,
     step_euler,
     step_rk4,
+    sweep,
     total_load,
 )
+from freqdispatch.cli import ScenarioFile, SimulationOptions, run_command, serialize_scenario_file
 
-from conftest import make_scenario, reference_scenario
+from conftest import economic_start, make_scenario, reference_scenario
 
 INTEGRAL = ControllerKind.INTEGRAL
 PI = ControllerKind.PROPORTIONAL_INTEGRAL
@@ -103,6 +105,30 @@ def test_equivalence_computes_gains_once_per_run(monkeypatch, pair):
     report = check_euler_equivalence(s, pair, steps=50, lambda0=0.0)
     assert report.max_abs_deviation <= 1e-9
     assert builds == [2]
+
+
+@pytest.mark.parametrize("controller", ["integral", "pi"])
+def test_simulate_command_builds_columns_once(monkeypatch, tmp_path, capsys, controller):
+    # The steady-state check at the final load reads the run's columns.
+    s = economic_start(make_scenario([0.5, 1.0, 2.0], [1.0, 2.0, 3.0], [6.0, 4.0], beta=1.5))
+    sim = SimulationOptions(h=0.05, t_end=40.0, events=(dynamics.LoadEvent(1.0, (7.2, 4.8)),))
+    path = tmp_path / "s.json"
+    path.write_text(serialize_scenario_file(ScenarioFile(1, s, simulation=sim)))
+    builds = _count_column_builds(monkeypatch)
+    assert run_command(["simulate", str(path), "--controller", controller]) == 0
+    assert '"passed": true' in capsys.readouterr().out
+    assert builds == [3]
+
+
+@pytest.mark.parametrize("param", ["K", "tau"])
+def test_sweep_shares_columns_across_values(monkeypatch, param):
+    # one build for the scenario, then one per value for its economic start,
+    # whose initial outputs differ
+    s = reference_scenario()
+    builds = _count_column_builds(monkeypatch)
+    records = sweep(s, param, [0.5, 1.0, 2.0])
+    assert [r.settling_integral is not None for r in records] == [True] * 3
+    assert builds == [2] * 4
 
 
 @pytest.mark.parametrize("kind", [INTEGRAL, PI])
