@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -41,11 +42,13 @@ from .experiments import (
     verify_steady_state_optimality,
 )
 from .model import (
+    Columns,
     ControllerConfig,
     ControllerKind,
     CostCoefficients,
     Generator,
     Scenario,
+    _cache_columns,
     validate_scenario,
 )
 
@@ -155,6 +158,7 @@ def _array(value, path, key) -> list:
 
 _GENERATOR_KEYS = frozenset({"id", "cost"}), frozenset({"id", "cost", "p_init"})
 _COST_KEYS = frozenset({"a", "b"}), frozenset({"a", "b", "c"})
+_DICT, _STR, _FLOAT, _NUMBER = map(frozenset, ({dict}, {str}, {float}, {float, int}))
 
 
 def _parse_generator(obj, path) -> Generator:
@@ -168,18 +172,55 @@ def _parse_generator(obj, path) -> Generator:
                      _number(obj.get("p_init", 0.0), path, "p_init"))
 
 
-def _parse_scenario(obj, path) -> Scenario:
+def _generator_columns(gens: list) -> tuple[list, ...] | None:
+    """The lists ids, a, b, c, p_init of generator entries that keep every rule of
+    ``_parse_generator``, read a column at a time; None when an entry breaks a
+    rule or holds an integer that no float holds, which ``_parse_generator`` then
+    settles entry by entry."""
+    if not (set(map(type, gens)) <= _DICT and all(map(_GENERATOR_KEYS[1].issuperset, gens))):
+        return None
+    try:
+        ids, costs = [g["id"] for g in gens], [g["cost"] for g in gens]
+        if not (set(map(type, costs)) <= _DICT and all(map(_COST_KEYS[1].issuperset, costs))
+                and set(map(type, ids)) <= _STR):
+            return None
+        columns = ([x["a"] for x in costs], [x["b"] for x in costs],
+                   [x.get("c", 0.0) for x in costs], [g.get("p_init", 0.0) for g in gens])
+    except KeyError:  # a required key is missing
+        return None
+    kinds = set(map(type, itertools.chain.from_iterable(columns)))  # bool is not int here
+    if kinds <= _FLOAT:
+        return ids, *columns
+    if not kinds <= _NUMBER:
+        return None
+    try:
+        return ids, *(list(map(float, col)) for col in columns)
+    except OverflowError:
+        return None
+
+
+def _parse_scenario(obj, path) -> tuple[Scenario, tuple[list, ...] | None]:
+    """The scenario, and its generators' number columns unless they were read
+    entry by entry."""
     keys = {"generators", "loads", "gain_K", "beta", "tau"}
     _check_keys(obj, path, keys, keys)
     gens = _array(obj["generators"], path, "generators")
     loads = _array(obj["loads"], path, "loads")
-    return Scenario(
-        generators=tuple(_parse_generator(g, (*path, "generators", i)) for i, g in enumerate(gens)),
+    columns = _generator_columns(gens)
+    if columns is None:
+        generators = tuple(_parse_generator(g, (*path, "generators", i))
+                           for i, g in enumerate(gens))
+    else:
+        ids, a, b, c, p_init = columns
+        generators = tuple(map(Generator, ids, map(CostCoefficients, a, b, c), p_init))
+    scenario = Scenario(
+        generators=generators,
         loads=tuple(_number(x, (*path, "loads"), j) for j, x in enumerate(loads)),
         gain_K=_number(obj["gain_K"], path, "gain_K"),
         beta=_number(obj["beta"], path, "beta"),
         tau=_number(obj["tau"], path, "tau"),
     )
+    return scenario, None if columns is None else columns[1:]
 
 
 def _solver_problem(opts: SolverOptions) -> tuple[str, str] | None:
@@ -239,7 +280,9 @@ def _parse_simulation(obj, path, n_loads: int) -> SimulationOptions:
 def parse_scenario_file(text: str) -> ScenarioFile:
     """Strict parse: unknown keys are rejected, every invariant is checked.
 
-    Raises ScenarioFileError with a field path on any problem.
+    Raises ScenarioFileError with a field path on the first problem in document
+    order. The generator entries are checked a column at a time, and the
+    scenario's ``columns`` are built from those lists once it is valid.
     """
     try:
         raw = json.loads(text)
@@ -253,11 +296,13 @@ def parse_scenario_file(text: str) -> ScenarioFile:
         raise ScenarioFileError("format_version",
                                 f"unsupported version {version} (supported: {FORMAT_VERSION})")
 
-    scenario = _parse_scenario(raw["scenario"], ("scenario",))
+    scenario, numbers = _parse_scenario(raw["scenario"], ("scenario",))
     violations = validate_scenario(scenario)
     if violations:
         detail = "; ".join(f"scenario.{v.field}: {v.message}" for v in violations)
         raise ScenarioFileError("scenario", f"invalid scenario: {detail}")
+    if numbers is not None:  # built only now, so an invalid file raises no numpy warning
+        _cache_columns(scenario, Columns.of(*numbers))
 
     solver = _parse_solver(raw["solver"], ("solver",)) if "solver" in raw else None
     simulation = (_parse_simulation(raw["simulation"], ("simulation",), len(scenario.loads))
@@ -392,20 +437,41 @@ def _write_sweep_csv(records, sink) -> None:
 # ---------------------------------------------------------------------------
 # JSON summaries
 
-def _jsonable(x):
+_ENUMS = (StopReason, ControllerKind, EquivalencePair)  # written as their values
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json(x, indent: str = "") -> str:
+    """``x`` as ``json.dumps(x, indent=2)`` writes it, nested ``indent`` deep, with
+    tuples as lists, the enums above as their values and a non-finite float as null
+    (JSON has no Infinity, for settling that never happens, and no NaN). A list of
+    plain finite floats is written in one join."""
+    inner = indent + "  "
     if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (StopReason, ControllerKind, EquivalencePair)):
-        return x.value
-    if isinstance(x, float) and not math.isfinite(x):
-        return None  # JSON has no Infinity (settling that never happens) or NaN
-    return x
+        if not x:
+            return "{}"
+        brackets = "{}"
+        items = (f"{_encode(k if isinstance(k, str) else _encode(k))}: {_json(v, inner)}"
+                 for k, v in x.items())  # a key that is no string: its JSON text, quoted
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        brackets = "[]"
+        if set(map(type, x)) <= _FLOAT and all(map(math.isfinite, x)):
+            items = map(float.__repr__, x)
+        else:
+            items = (_json(v, inner) for v in x)
+    elif isinstance(x, _ENUMS):
+        return _encode(x.value)
+    elif isinstance(x, float) and not math.isfinite(x):
+        return "null"
+    else:
+        return _encode(x)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _emit(payload) -> None:
-    print(json.dumps(_jsonable(payload), indent=2, allow_nan=False))
+    print(_json(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +741,7 @@ def run_command(argv) -> int:
 
     handler = _HANDLERS[args.command]
     try:
-        with np.errstate(all="ignore"):  # overflow gives inf or NaN, which _jsonable writes as null
+        with np.errstate(all="ignore"):  # overflow gives inf or NaN, which _json writes as null
             return handler(args)
     except ScenarioFileError as e:
         print(f"error: {e}", file=sys.stderr)

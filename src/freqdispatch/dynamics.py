@@ -29,6 +29,7 @@ __all__ = [
     "FrequencyModel",
     "Inertial",
     "LoadEvent",
+    "MAX_TRACE_CELLS",
     "QuasiStatic",
     "SimState",
     "SimulationTrace",
@@ -41,6 +42,12 @@ __all__ = [
     "step_euler",
     "step_rk4",
 ]
+
+
+# Largest trace simulate samples, in float64 cells of its t, p and delta_f
+# columns: samples * (N + 2), 800 MB. A finer or longer grid is refused before
+# anything is allocated.
+MAX_TRACE_CELLS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -268,7 +275,8 @@ def simulate(s: Scenario, cfg: ControllerConfig,
              events=()) -> SimulationTrace:
     """Sample the closed loop's exact trajectory from the generators' initial outputs.
 
-    Row i of the trace's columns is the sample at t = i*h, i = 0 .. round(t_end/h).
+    Row i of the trace's columns is the sample at t = i*h, i = 0 .. round(t_end/h),
+    and a grid whose trace would exceed MAX_TRACE_CELLS cells is refused.
     Load-step events are snapped to the nearest step of the fixed grid and
     applied at that sample: p is continuous there and delta_f uses the new
     load (QuasiStatic) or carries over (Inertial, which starts at delta_f = 0).
@@ -298,6 +306,10 @@ def simulate(s: Scenario, cfg: ControllerConfig,
         raise ValueError("the PI controller requires the QuasiStatic frequency model")
 
     n_steps = int(round(t_end / h))
+    cells = (n_steps + 1) * (len(s.generators) + 2)
+    if cells > MAX_TRACE_CELLS:
+        raise ValueError(f"t_end/h gives {n_steps + 1} samples, a trace of {cells} cells; "
+                         f"the limit is {MAX_TRACE_CELLS}")
     snapped: list[LoadEvent] = []
     demand = {0: total_load(s)}  # sample where a load takes effect -> total load from there
     for ev in _check_events(events, len(s.loads)):  # snapped to the step grid

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -152,9 +152,7 @@ def _method_summary(trace: IterationTrace, tol: float, predicted: float) -> Meth
 
 
 def _economic_start(s: Scenario) -> Scenario:
-    sol = analytic_dispatch(s)
-    gens = tuple(replace(g, p_init=p) for g, p in zip(s.generators, sol.p))
-    return replace(s, generators=gens)
+    return s.with_p_init(analytic_dispatch(s).p)
 
 
 def compare_convergence(s: Scenario, alpha: float, rho: float,

@@ -82,16 +82,12 @@ class Scenario:
 
     @cached_property
     def columns(self) -> Columns:
-        """The generators' ``Columns``, built on first use: an invalid scenario raises no
-        numpy warning while it is built and validated."""
-        gens = self.generators  # one list per column: the fastest way in at N = 1000
-        a, b, c, p_init = np.array([[g.cost.a for g in gens], [g.cost.b for g in gens],
-                                    [g.cost.c for g in gens], [g.p_init for g in gens]], dtype=float)
-        two_a = 2.0 * a
-        w = 1.0 / two_a
-        for col in (a, two_a, b, c, p_init, w):
-            col.flags.writeable = False
-        return Columns(a, two_a, b, c, p_init, w, float(w.sum()))
+        """The generators' ``Columns``. ``cli.parse_scenario_file`` builds them from the
+        file's lists once the scenario is valid; any other scenario builds them on first
+        use, so that an invalid one raises no numpy warning while it is validated."""
+        costs = [g.cost for g in self.generators]  # one list per column: the fastest way in
+        return Columns.of([c.a for c in costs], [c.b for c in costs], [c.c for c in costs],
+                          [g.p_init for g in self.generators])
 
     def replace(self, **changes) -> Scenario:
         """``dataclasses.replace`` that shares this scenario's columns unless the
@@ -99,8 +95,28 @@ class Scenario:
         build no columns of their own."""
         out = dataclasses.replace(self, **changes)
         if "generators" not in changes:
-            out.__dict__["columns"] = self.columns  # where cached_property keeps its value
+            _cache_columns(out, self.columns)
         return out
+
+    def with_p_init(self, p_init) -> Scenario:
+        """This scenario with the generators' initial outputs set to ``p_init``; its
+        columns share ``a``, ``2a``, ``b``, ``c`` and ``w`` with this one's."""
+        gens = self.generators
+        out = dataclasses.replace(self, generators=tuple(map(
+            Generator, [g.id for g in gens], [g.cost for g in gens], p_init)))
+        return _cache_columns(out, dataclasses.replace(
+            self.columns, p_init=_read_only(np.array(p_init, dtype=float))))
+
+
+def _cache_columns(s: Scenario, columns: Columns) -> Scenario:
+    """``s`` with ``columns`` as its built columns, which must be the generators'."""
+    s.__dict__["columns"] = columns  # where cached_property keeps its value
+    return s
+
+
+def _read_only(col: np.ndarray) -> np.ndarray:
+    col.setflags(write=False)
+    return col
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +131,15 @@ class Columns:
     p_init: np.ndarray
     w: np.ndarray
     slope: float
+
+    @classmethod
+    def of(cls, a, b, c, p_init) -> Columns:
+        """The columns of four equal-length sequences of numbers, with 2a, w and S
+        derived from ``a``: the one place columns are built."""
+        a, b, c, p_init = _read_only(np.array([a, b, c, p_init], dtype=float))  # read-only rows
+        two_a = _read_only(2.0 * a)
+        w = _read_only(1.0 / two_a)
+        return cls(a, two_a, b, c, p_init, w, float(w.sum()))
 
     def solve(self, rho: float, r) -> np.ndarray:
         """p of (diag(2a) + rho * ones) p = r in O(N) by Sherman-Morrison, y = w * r."""
@@ -196,36 +221,73 @@ def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
+_PLAIN_NUMBERS = frozenset({float, int})
+
+
+def _all_finite(col: list) -> bool:
+    """``all(map(_finite, col))`` in C-level passes, for plain ints and floats;
+    False (so the caller walks the column) when another type is present."""
+    return set(map(type, col)) <= _PLAIN_NUMBERS and all(map(math.isfinite, col))
+
+
+def _problem(name: str, x) -> str | None:
+    """What is wrong with ``x`` as a generator's field ``name`` (a, b, c, p_init), or None."""
+    if not _finite(x):
+        return f"{name} must be finite"
+    if name != "a":
+        return None
+    if x <= 0:
+        return "a must be > 0"
+    if not 0.0 < 1.0 / (2.0 * x) < math.inf:  # the weight w = 1/(2a), 0 if 2a overflows
+        return "a must keep 2a and 1/(2a) finite"
+    return None
+
+
+def _slopes_ok(a: list) -> bool:
+    """Whether every slope in a non-empty column of finite numbers passes ``_problem``:
+    fl(1/fl(2a)) falls as a grows, so a > 0 and 0 < 1/(2a) < inf hold for all once
+    they hold at the least and the greatest."""
+    least, greatest = min(a), max(a)
+    return least > 0 and 1.0 / (2.0 * least) < math.inf and 1.0 / (2.0 * greatest) > 0.0
+
+
+_FIELDS = (("cost.a", "a"), ("cost.b", "b"), ("cost.c", "c"), ("p_init", "p_init"))
+
+
 def validate_scenario(s: Scenario) -> list[Violation]:
     """Check every scenario invariant; return the (possibly empty) list of violations.
 
-    Reports rather than raises so callers can surface all problems at once.
+    Reports rather than raises so callers can surface all problems at once. The
+    generator fields are checked in bulk; rows are walked only in a column that
+    fails, and the violations come out by generator, then field.
     """
     out: list[Violation] = []
-
-    if len(s.generators) < 1:
+    gens = s.generators
+    if len(gens) < 1:
         out.append(Violation("generators", "at least one generator required"))
-    seen_ids: set[str] = set()
 
-    def bad(i, field, why):  # formats the path and label only for a failed check
-        out.append(Violation(f"generators[{i}].{field}", f"{why} for generator {i + 1}"))
-    for i, g in enumerate(s.generators):
-        a = g.cost.a
-        if not _finite(a):
-            bad(i, "cost.a", "a must be finite")
-        elif a <= 0:
-            bad(i, "cost.a", "a must be > 0")
-        elif not 0.0 < 1.0 / (2.0 * a) < math.inf:  # the weight w = 1/(2a), 0 if 2a overflows
-            bad(i, "cost.a", "a must keep 2a and 1/(2a) finite")
-        if not _finite(g.cost.b):
-            bad(i, "cost.b", "b must be finite")
-        if not _finite(g.cost.c):
-            bad(i, "cost.c", "c must be finite")
-        if not _finite(g.p_init):
-            bad(i, "p_init", "p_init must be finite")
-        if g.id in seen_ids:
-            out.append(Violation(f"generators[{i}].id", f"duplicate generator id '{g.id}'"))
-        seen_ids.add(g.id)
+    # a, b, c, p_init of every generator in turn: one list serves the bulk checks
+    values = [x for g in gens for x in (g.cost.a, g.cost.b, g.cost.c, g.p_init)]
+    failed: dict[int, list[Violation]] = {}  # generator index -> its violations, in field order
+    if gens and not (_all_finite(values) and _slopes_ok(values[0::4])):
+        for k, (field, name) in enumerate(_FIELDS):
+            col = values[k::4]
+            if _all_finite(col) and (name != "a" or _slopes_ok(col)):
+                continue
+            for i, x in enumerate(col):
+                if (why := _problem(name, x)) is not None:
+                    failed.setdefault(i, []).append(
+                        Violation(f"generators[{i}].{field}", f"{why} for generator {i + 1}"))
+    ids = [g.id for g in gens]
+    if len(set(ids)) < len(ids):
+        seen_ids: set[str] = set()
+        for i, x in enumerate(ids):
+            if x in seen_ids:
+                failed.setdefault(i, []).append(
+                    Violation(f"generators[{i}].id", f"duplicate generator id '{x}'"))
+            seen_ids.add(x)
+    for i in sorted(failed):
+        out += failed[i]
 
     if len(s.loads) < 1:
         out.append(Violation("loads", "at least one load required"))

@@ -462,6 +462,14 @@ def test_cmd_simulate(scenario_file, capsys, tmp_path):
     assert out_csv.exists()
 
 
+@pytest.mark.parametrize("flags", [["--h", "1e-9"], ["--h", "0.5", "--t-end", "1e300"]])
+def test_cmd_simulate_refuses_a_grid_past_the_cell_cap(scenario_file, capsys, flags):
+    assert run_command(["simulate", scenario_file, "--controller", "integral", *flags]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: t_end/h gives ") and "the limit is 100000000" in out.err
+
+
 def test_cmd_simulate_uses_file_simulation_block(tmp_path, capsys):
     text = reference_text(simulation={
         "controller": "integral", "h": 0.01, "t_end": 30.0,

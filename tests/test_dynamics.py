@@ -25,6 +25,7 @@ from freqdispatch import (
     step_euler,
     step_rk4,
 )
+from freqdispatch import dynamics
 from freqdispatch.cli import ScenarioFileError, parse_scenario_file
 
 from conftest import make_scenario, reference_scenario, rk4_trace
@@ -343,6 +344,28 @@ def test_exact_method_is_the_closed_form(scenario_r, kind, rate):
 def test_simulate_rejects_non_finite_grid(scenario_r, h, t_end):
     with pytest.raises(ValueError, match="must be finite"):
         simulate(scenario_r, _cfg(INTEGRAL, scenario_r), h=h, t_end=t_end)
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("the trace was allocated")
+
+
+@pytest.mark.parametrize("h, t_end", [(1e-9, 100.0), (1e-3, 1e12), (1e-300, 1e-100)])
+def test_simulate_refuses_a_grid_past_the_cell_cap_before_allocating(scenario_r, monkeypatch,
+                                                                     h, t_end):
+    monkeypatch.setattr(np, "arange", _no_allocation)
+    monkeypatch.setattr(np, "empty", _no_allocation)
+    with pytest.raises(ValueError, match=f"the limit is {dynamics.MAX_TRACE_CELLS}"):
+        simulate(scenario_r, _cfg(INTEGRAL, scenario_r), h=h, t_end=t_end)
+
+
+def test_trace_cell_cap_counts_samples_times_columns(scenario_r, monkeypatch):
+    # two generators: t, p_1, p_2 and delta_f are 4 cells per sample
+    monkeypatch.setattr(dynamics, "MAX_TRACE_CELLS", 4 * 11)
+    cfg = _cfg(INTEGRAL, scenario_r)
+    assert len(simulate(scenario_r, cfg, h=0.1, t_end=1.0).t) == 11
+    with pytest.raises(ValueError, match="t_end/h gives 12 samples, a trace of 48 cells"):
+        simulate(scenario_r, cfg, h=0.1, t_end=1.1)
 
 
 def test_simulate_rejects_event_far_beyond_t_end(scenario_r):

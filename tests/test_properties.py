@@ -1,8 +1,10 @@
 """Properties on drawn scenarios: the exact propagator against RK4, the solvers against
-the closed form, the scenario file format against itself, and the simulation CSV
-against its row-by-row reference; and the command line on fuzzed files and flags."""
+the closed form, the scenario file format against itself, bulk validation and the
+simulation CSV against their row-by-row references; the command line on fuzzed
+files and flags; and the JSON summary writer against json.dumps."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -18,6 +20,7 @@ from freqdispatch import (
     ControllerConfig,
     ControllerKind,
     CostCoefficients,
+    EquivalencePair,
     FrequencyModel,
     Generator,
     Inertial,
@@ -25,6 +28,7 @@ from freqdispatch import (
     QuasiStatic,
     Scenario,
     SimulationTrace,
+    StopReason,
     aggregate_power_slope,
     analytic_dispatch,
     dual_ascent_solve,
@@ -34,6 +38,7 @@ from freqdispatch import (
     settling_time,
     simulate,
     stability_bound_alpha,
+    validate_scenario,
 )
 from freqdispatch import cli
 from freqdispatch.cli import (
@@ -45,6 +50,8 @@ from freqdispatch.cli import (
     serialize_scenario_file,
     write_trace_csv,
 )
+from freqdispatch.dynamics import MAX_TRACE_CELLS
+from freqdispatch.model import Columns, Violation
 
 from conftest import (economic_start, make_scenario, reference_simulation_csv, rk4_trace,
                       strict_json)
@@ -262,7 +269,75 @@ def scenario_files(draw) -> ScenarioFile:
 @BOUNDED
 @given(sf=scenario_files())
 def test_parse_inverts_serialize(sf):
-    assert parse_scenario_file(serialize_scenario_file(sf)) == sf
+    parsed = parse_scenario_file(serialize_scenario_file(sf))
+    assert parsed == sf
+    # the columns built at parse time are the ones the generators give
+    gens = parsed.scenario.generators
+    built = Columns.of([g.cost.a for g in gens], [g.cost.b for g in gens],
+                       [g.cost.c for g in gens], [g.p_init for g in gens])
+    for name in ("a", "two_a", "b", "c", "p_init", "w"):
+        assert getattr(parsed.scenario.columns, name).tobytes() == getattr(built, name).tobytes()
+    assert parsed.scenario.columns.slope == built.slope
+
+
+def _validate_row_by_row(s: Scenario) -> list[Violation]:
+    """The generator rules of validate_scenario as they were written first: one
+    generator at a time, every field, then the id."""
+    finite = lambda x: isinstance(x, (int, float)) and math.isfinite(x)  # noqa: E731
+    out = [] if s.generators else [Violation("generators", "at least one generator required")]
+    seen = set()
+    for i, g in enumerate(s.generators):
+        a = g.cost.a
+        why = ("a must be finite" if not finite(a) else "a must be > 0" if a <= 0 else
+               None if 0.0 < 1.0 / (2.0 * a) < math.inf else "a must keep 2a and 1/(2a) finite")
+        checks = [("cost.a", why)] + [(field, None if finite(x) else f"{name} must be finite")
+                                      for field, name, x in (("cost.b", "b", g.cost.b),
+                                                             ("cost.c", "c", g.cost.c),
+                                                             ("p_init", "p_init", g.p_init))]
+        out += [Violation(f"generators[{i}].{field}", f"{why} for generator {i + 1}")
+                for field, why in checks if why is not None]
+        if g.id in seen:
+            out.append(Violation(f"generators[{i}].id", f"duplicate generator id '{g.id}'"))
+        seen.add(g.id)
+    return out
+
+
+# The floats at the edges of the slope rule: 2a is finite up to 8.988465674311579e307,
+# and 1/(2a) from 2.781342323134007e-309 on; the next float out breaks each.
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, -1.0, 1e308, 8.988465674311579e307,
+                                8.98846567431158e307, 2.781342323134007e-309,
+                                2.781342323134e-309, 5e-324, math.inf, -math.inf, math.nan])
+# Besides those: any float, and values that are not plain floats: ints and bools,
+# numpy scalars, None and a string.
+_FIELD_VALUES = st.one_of(
+    _EDGE_FLOATS, st.floats(), st.integers(-3, 10 ** 6), st.booleans(),
+    st.floats(0.1, 5.0).map(np.float64), st.floats(0.1, 5.0).map(np.float32),
+    st.sampled_from([None, "1.0"]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_validation_in_bulk_matches_row_by_row(data):
+    n = data.draw(st.integers(0, 12))
+    wild_run = data.draw(st.booleans())  # else mostly sane floats, which pass in bulk
+
+    def value(lo, hi):
+        roll = data.draw(st.integers(0, 9))
+        if wild_run or roll == 0:
+            return data.draw(_FIELD_VALUES)
+        return data.draw(_EDGE_FLOATS if roll == 1 else st.floats(lo, hi))
+
+    ids = (data.draw(st.lists(st.sampled_from(["G1", "G2", "é", "G1 "]), min_size=n, max_size=n))
+           if data.draw(st.booleans()) else [f"G{i}" for i in range(n)])
+    gens = tuple(Generator(i, CostCoefficients(value(0.1, 5.0), value(-20.0, 20.0),
+                                               value(-5.0, 5.0)), value(-10.0, 30.0))
+                 for i in ids)
+    s = Scenario(gens, tuple(data.draw(st.lists(st.floats(), max_size=3))),
+                 *data.draw(st.lists(st.floats(), min_size=3, max_size=3)))
+    # the rules past the generators are unchanged: what a generator-less copy
+    # reports after its "at least one generator"
+    rest = validate_scenario(dataclasses.replace(s, generators=()))[1:]
+    assert validate_scenario(s) == _validate_row_by_row(s) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +425,18 @@ _JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | s
                      max_leaves=4)
 
 
+# t_end/h: a trace of at most 501 rows, or one with 1e8 rows or more, whose
+# 3 or more cells a row exceed MAX_TRACE_CELLS
+_STEP_COUNTS = st.one_of(st.floats(0.0, 500.0), st.floats(1e8, 1e300))
+assert 1e8 * 3 > MAX_TRACE_CELLS
+
+
 @st.composite
 def _scenario_documents(draw) -> str:
     """Scenario files from well-formed to broken: drawn fields and blocks, then a
     chance of one node replaced, a key dropped or added, or the text cut short.
-    A drawn simulation block keeps t_end/h <= 500: a trace holds t_end/h + 1 rows."""
+    A drawn simulation block has t_end/h <= 500, or a grid past the trace cap,
+    which is refused before its trace is allocated."""
     n, n_loads = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     loads = lambda: [draw(_number(1.0, 50.0)) for _ in range(n_loads)]  # noqa: E731
     gens = [{"id": f"g{i}", "p_init": draw(_number(-10.0, 30.0)),
@@ -369,7 +451,7 @@ def _scenario_documents(draw) -> str:
                          "max_iter": draw(st.integers(-1, 300))}
     if draw(st.booleans()):
         h = draw(_number(0.01, 1.0))
-        t_end = h * draw(st.floats(0.0, 500.0)) if isinstance(h, float) else h
+        t_end = h * draw(_STEP_COUNTS) if isinstance(h, float) else h
         events = [{"time": draw(_number(0.0, 20.0)), "loads": loads()}
                   for _ in range(draw(st.integers(0, 2)))]
         doc["simulation"] = {"controller": draw(st.sampled_from(["integral", "pi", "PI"])),
@@ -424,10 +506,51 @@ def test_run_command_never_raises_and_prints_strict_json(text, command, data):
                 argv += [flag, str(data.draw(_number(0.01, 2.0)))]
         if command == "simulate" and data.draw(st.booleans()):
             h = data.draw(st.floats(1e-3, 10.0))
-            argv += ["--h", repr(h), "--t-end", repr(h * data.draw(st.floats(0.0, 500.0)))]
+            argv += ["--h", repr(h), "--t-end", repr(h * data.draw(_STEP_COUNTS))]
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = run_command(argv)
     assert code in (0, 1, 2, 3)
     if out.getvalue():
         strict_json(out.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# The JSON summary writer against the json.dumps pair it replaced
+
+def _jsonable(x):
+    """A summary as the CLI handed it to json.dumps(..., indent=2, allow_nan=False)."""
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, (StopReason, ControllerKind, EquivalencePair)):
+        return x.value
+    if isinstance(x, float) and not math.isfinite(x):
+        return None  # JSON has no Infinity or NaN
+    return x
+
+
+_SUMMARY_FLOATS = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.5e-310, 1e308]))
+_SUMMARY_LEAVES = st.one_of(
+    _SUMMARY_FLOATS, st.integers(), st.booleans(), st.none(), st.text(),
+    st.sampled_from([*StopReason, *ControllerKind, *EquivalencePair]),
+    st.lists(_SUMMARY_FLOATS), st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+_SUMMARY_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(),
+                          st.floats(allow_nan=False, allow_infinity=False))
+_SUMMARIES = st.recursive(
+    _SUMMARY_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_SUMMARY_KEYS, inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(summary=_SUMMARIES)
+def test_summary_writer_matches_json_dumps(summary):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(summary)
+    assert out.getvalue() == json.dumps(_jsonable(summary), indent=2, allow_nan=False) + "\n"

@@ -11,6 +11,7 @@ from freqdispatch import (
     EquivalencePair,
     SimState,
     aggregate_power_slope,
+    analytic_dispatch,
     check_euler_equivalence,
     compare_convergence,
     dual_ascent_solve,
@@ -69,14 +70,15 @@ def test_mom_solve_needs_no_dense_solve(monkeypatch):
 
 
 def _count_column_builds(monkeypatch):
+    """The length of every column set built through ``Columns.of``, as they are built."""
     builds = []
-    original = model.Columns
+    original = model.Columns.of
 
     def counting(*columns):
         builds.append(len(columns[0]))
         return original(*columns)
 
-    monkeypatch.setattr(model, "Columns", counting)
+    monkeypatch.setattr(model.Columns, "of", counting)
     return builds
 
 
@@ -122,13 +124,26 @@ def test_simulate_command_builds_columns_once(monkeypatch, tmp_path, capsys, con
 
 @pytest.mark.parametrize("param", ["K", "tau"])
 def test_sweep_shares_columns_across_values(monkeypatch, param):
-    # one build for the scenario, then one per value for its economic start,
-    # whose initial outputs differ
+    # one build for the scenario; each value's economic start shares its columns
+    # but p_init, whatever K or tau
     s = reference_scenario()
     builds = _count_column_builds(monkeypatch)
     records = sweep(s, param, [0.5, 1.0, 2.0])
     assert [r.settling_integral is not None for r in records] == [True] * 3
-    assert builds == [2] * 4
+    assert builds == [2]
+
+
+def test_economic_start_shares_every_column_but_p_init():
+    rng = np.random.default_rng(7)
+    s = _random_fleet(rng, 50)
+    start = s.with_p_init(analytic_dispatch(s).p)
+    assert start == economic_start(s)
+    fresh = economic_start(s).columns  # built from the start's generators
+    for name in ("a", "two_a", "b", "c", "w"):
+        assert getattr(start.columns, name) is getattr(s.columns, name)
+    for name in ("a", "two_a", "b", "c", "p_init", "w", "slope"):
+        assert np.array_equal(getattr(start.columns, name), getattr(fresh, name))
+    assert not start.columns.p_init.flags.writeable
 
 
 @pytest.mark.parametrize("kind", [INTEGRAL, PI])
