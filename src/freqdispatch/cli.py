@@ -42,13 +42,9 @@ from .experiments import (
     verify_steady_state_optimality,
 )
 from .model import (
-    Columns,
     ControllerConfig,
     ControllerKind,
-    CostCoefficients,
-    Generator,
     Scenario,
-    _cache_columns,
     validate_scenario,
 )
 
@@ -161,15 +157,15 @@ _COST_KEYS = frozenset({"a", "b"}), frozenset({"a", "b", "c"})
 _DICT, _STR, _FLOAT, _NUMBER = map(frozenset, ({dict}, {str}, {float}, {float, int}))
 
 
-def _parse_generator(obj, path) -> Generator:
+def _parse_generator(obj, path) -> tuple:
+    """One generator entry's id, a, b, c and p_init."""
     _check_keys(obj, path, *_GENERATOR_KEYS)
     cost_obj, cost_path = obj["cost"], (*path, "cost")
     _check_keys(cost_obj, cost_path, *_COST_KEYS)
-    cost = CostCoefficients(_number(cost_obj["a"], cost_path, "a"),  # positional: faster
-                            _number(cost_obj["b"], cost_path, "b"),
-                            _number(cost_obj.get("c", 0.0), cost_path, "c"))
-    return Generator(_string(obj["id"], path, "id"), cost,
-                     _number(obj.get("p_init", 0.0), path, "p_init"))
+    cost = (_number(cost_obj["a"], cost_path, "a"), _number(cost_obj["b"], cost_path, "b"),
+            _number(cost_obj.get("c", 0.0), cost_path, "c"))  # checked before the id
+    return (_string(obj["id"], path, "id"), *cost,
+            _number(obj.get("p_init", 0.0), path, "p_init"))
 
 
 def _generator_columns(gens: list) -> tuple[list, ...] | None:
@@ -199,28 +195,22 @@ def _generator_columns(gens: list) -> tuple[list, ...] | None:
         return None
 
 
-def _parse_scenario(obj, path) -> tuple[Scenario, tuple[list, ...] | None]:
-    """The scenario, and its generators' number columns unless they were read
-    entry by entry."""
+def _parse_scenario(obj, path) -> Scenario:
+    """The scenario, built from its generators' id and number columns."""
     keys = {"generators", "loads", "gain_K", "beta", "tau"}
     _check_keys(obj, path, keys, keys)
     gens = _array(obj["generators"], path, "generators")
     loads = _array(obj["loads"], path, "loads")
     columns = _generator_columns(gens)
-    if columns is None:
-        generators = tuple(_parse_generator(g, (*path, "generators", i))
-                           for i, g in enumerate(gens))
-    else:
-        ids, a, b, c, p_init = columns
-        generators = tuple(map(Generator, ids, map(CostCoefficients, a, b, c), p_init))
-    scenario = Scenario(
-        generators=generators,
-        loads=tuple(_number(x, (*path, "loads"), j) for j, x in enumerate(loads)),
-        gain_K=_number(obj["gain_K"], path, "gain_K"),
-        beta=_number(obj["beta"], path, "beta"),
-        tau=_number(obj["tau"], path, "tau"),
-    )
-    return scenario, None if columns is None else columns[1:]
+    if columns is None:  # entry by entry, to name the first problem in document order
+        columns = tuple(zip(*(_parse_generator(g, (*path, "generators", i))
+                              for i, g in enumerate(gens))))
+    ids, *numbers = columns
+    return Scenario._of(ids, numbers,
+                        [_number(x, (*path, "loads"), j) for j, x in enumerate(loads)],
+                        _number(obj["gain_K"], path, "gain_K"),
+                        _number(obj["beta"], path, "beta"),
+                        _number(obj["tau"], path, "tau"))
 
 
 def _solver_problem(opts: SolverOptions) -> tuple[str, str] | None:
@@ -281,8 +271,8 @@ def parse_scenario_file(text: str) -> ScenarioFile:
     """Strict parse: unknown keys are rejected, every invariant is checked.
 
     Raises ScenarioFileError with a field path on the first problem in document
-    order. The generator entries are checked a column at a time, and the
-    scenario's ``columns`` are built from those lists once it is valid.
+    order. The generator entries are checked a column at a time into the lists of
+    ids and numbers that the scenario keeps: no ``Generator`` is built.
     """
     try:
         raw = json.loads(text)
@@ -296,13 +286,11 @@ def parse_scenario_file(text: str) -> ScenarioFile:
         raise ScenarioFileError("format_version",
                                 f"unsupported version {version} (supported: {FORMAT_VERSION})")
 
-    scenario, numbers = _parse_scenario(raw["scenario"], ("scenario",))
+    scenario = _parse_scenario(raw["scenario"], ("scenario",))
     violations = validate_scenario(scenario)
     if violations:
         detail = "; ".join(f"scenario.{v.field}: {v.message}" for v in violations)
         raise ScenarioFileError("scenario", f"invalid scenario: {detail}")
-    if numbers is not None:  # built only now, so an invalid file raises no numpy warning
-        _cache_columns(scenario, Columns.of(*numbers))
 
     solver = _parse_solver(raw["solver"], ("solver",)) if "solver" in raw else None
     simulation = (_parse_simulation(raw["simulation"], ("simulation",), len(scenario.loads))
@@ -327,25 +315,15 @@ def serialize_scenario_file(sf: ScenarioFile) -> str:
             "tau": sf.scenario.tau,
         },
     }
-    if sf.solver is not None:
-        block: dict = {"tol": sf.solver.tol, "max_iter": sf.solver.max_iter}
-        if sf.solver.alpha is not None:
-            block["alpha"] = sf.solver.alpha
-        if sf.solver.rho is not None:
-            block["rho"] = sf.solver.rho
-        if sf.solver.lambda0 is not None:
-            block["lambda0"] = sf.solver.lambda0
-        payload["solver"] = block
+    if sf.solver is not None:  # the options that are set
+        payload["solver"] = {name: value for name in ("tol", "max_iter", "alpha", "rho", "lambda0")
+                             if (value := getattr(sf.solver, name)) is not None}
     if sf.simulation is not None:
-        block = {"controller": sf.simulation.controller.value}
-        if sf.simulation.h is not None:
-            block["h"] = sf.simulation.h
-        if sf.simulation.t_end is not None:
-            block["t_end"] = sf.simulation.t_end
-        if sf.simulation.events:
-            block["events"] = [{"time": ev.time, "loads": list(ev.loads)}
-                               for ev in sf.simulation.events]
-        payload["simulation"] = block
+        sim = sf.simulation
+        block = {"controller": sim.controller.value, "h": sim.h, "t_end": sim.t_end,
+                 "events": [{"time": ev.time, "loads": list(ev.loads)} for ev in sim.events]}
+        payload["simulation"] = {key: value for key, value in block.items()
+                                 if value is not None and value != []}
     return json.dumps(payload, indent=2)
 
 
@@ -565,13 +543,7 @@ def _solver_opts(args, s: Scenario, block: SolverOptions | None) -> SolverOption
 
 def _cmd_validate(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        parse_scenario_file(text)
+        _read_file(args.file)
     except ScenarioFileError as e:
         _emit({"valid": False, "error": str(e)})
         return EXIT_VALIDATION

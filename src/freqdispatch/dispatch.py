@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import DispatchSolution, Scenario, marginal_cost, total_load
+from .model import DispatchSolution, Scenario, total_load
 
 __all__ = [
     "DIVERGENCE_FACTOR",
@@ -128,14 +128,14 @@ def brute_force_dispatch(s: Scenario, grid_step: float) -> DispatchSolution:
     price is the mean of the marginal costs at the grid optimum (the grid
     point itself carries no exact multiplier).
     """
-    n = len(s.generators)
+    cols = s.columns
+    n = len(cols.a)
     if n > 4:
         raise ValueError("brute_force_dispatch supports at most 4 generators")
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise ValueError("grid_step must be finite and > 0")
 
     d = total_load(s)
-    cols = s.columns
     a, b = cols.a, cols.b
 
     if n == 1:
@@ -205,8 +205,8 @@ def _grid_tail_search(grid, grid_step, lo, npts, a, b, d, base_cost=0.0):
 
 def default_lambda0(s: Scenario) -> float:
     """Warm-start price: marginal cost of the first generator at its p_init."""
-    g = s.generators[0]
-    return marginal_cost(g.cost, g.p_init)
+    cols = s.columns
+    return float(cols.two_a[0] * cols.p_init[0] + cols.b[0])
 
 
 def _dual_power(lam: float, s: Scenario) -> tuple[float, ...]:

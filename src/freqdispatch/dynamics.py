@@ -306,7 +306,7 @@ def simulate(s: Scenario, cfg: ControllerConfig,
         raise ValueError("the PI controller requires the QuasiStatic frequency model")
 
     n_steps = int(round(t_end / h))
-    cells = (n_steps + 1) * (len(s.generators) + 2)
+    cells = (n_steps + 1) * (len(s.columns.a) + 2)
     if cells > MAX_TRACE_CELLS:
         raise ValueError(f"t_end/h gives {n_steps + 1} samples, a trace of {cells} cells; "
                          f"the limit is {MAX_TRACE_CELLS}")

@@ -59,7 +59,28 @@ class Generator:
     p_init: float = 0.0
 
 
-@dataclass(frozen=True)
+class _GeneratorView:
+    """``Scenario.generators``. Set, it keeps the generators' ids and number columns
+    a, b, c and p_init, a scenario's data; read, it builds the generators from those once."""
+
+    def __get__(self, s, owner=None) -> tuple[Generator, ...]:
+        if s is None:
+            raise AttributeError("generators")  # a field without a default
+        if "generators" not in s.__dict__:
+            a, b, c, p_init = s._numbers
+            s.__dict__["generators"] = tuple(map(Generator, s._ids,
+                                                 map(CostCoefficients, a, b, c), p_init))
+        return s.__dict__["generators"]
+
+    def __set__(self, s, generators) -> None:
+        gens = tuple(generators)
+        costs = [g.cost for g in gens]  # one list per column: the fastest way in
+        s.__dict__.update(generators=gens, _ids=tuple([g.id for g in gens]), _numbers=tuple(map(
+            tuple, ([c.a for c in costs], [c.b for c in costs], [c.c for c in costs],
+                    [g.p_init for g in gens]))))
+
+
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """The complete problem instance.
 
@@ -67,51 +88,63 @@ class Scenario:
     of the load entries. ``gain_K`` converts frequency deviation into a
     price correction, ``beta`` converts power imbalance into frequency
     deviation, and ``tau`` is both the discrete iteration step size and
-    the controller time constant.
+    the controller time constant. The generators are kept as their ids and
+    number columns; ``generators`` is built from those on first read.
     """
 
-    generators: tuple[Generator, ...]
+    generators: tuple[Generator, ...] = _GeneratorView()
     loads: tuple[float, ...]
     gain_K: float
     beta: float
     tau: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "loads", tuple(float(x) for x in self.loads))
+        object.__setattr__(self, "loads", tuple(map(float, self.loads)))
+
+    @classmethod
+    def _of(cls, ids, numbers, loads, gain_K, beta, tau, columns=None) -> Scenario:
+        """The scenario of generator ``ids`` and their ``numbers`` (a, b, c, p_init),
+        built without generators; ``columns``, if given, must be those numbers'."""
+        s = cls.__new__(cls)
+        s.__dict__.update(_ids=tuple(ids), _numbers=tuple(map(tuple, numbers)),
+                          loads=tuple(map(float, loads)), gain_K=gain_K, beta=beta, tau=tau)
+        if columns is not None:
+            s.__dict__["columns"] = columns  # where cached_property keeps its value
+        return s
+
+    def _key(self) -> tuple:
+        return self._ids, self._numbers, self.loads, self.gain_K, self.beta, self.tau
+
+    def __eq__(self, other):  # the dataclass's, on the columns
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @cached_property
     def columns(self) -> Columns:
-        """The generators' ``Columns``. ``cli.parse_scenario_file`` builds them from the
-        file's lists once the scenario is valid; any other scenario builds them on first
-        use, so that an invalid one raises no numpy warning while it is validated."""
-        costs = [g.cost for g in self.generators]  # one list per column: the fastest way in
-        return Columns.of([c.a for c in costs], [c.b for c in costs], [c.c for c in costs],
-                          [g.p_init for g in self.generators])
+        """The generators' ``Columns``, built on first use: a scenario file's after it
+        is validated, so that an invalid scenario raises no numpy warning."""
+        return Columns.of(*self._numbers)
 
     def replace(self, **changes) -> Scenario:
-        """``dataclasses.replace`` that shares this scenario's columns unless the
-        generators change: the copies with other loads, gains or time constants
-        build no columns of their own."""
-        out = dataclasses.replace(self, **changes)
-        if "generators" not in changes:
-            _cache_columns(out, self.columns)
-        return out
+        """``dataclasses.replace``; a copy that keeps the generators builds none, and
+        shares this scenario's columns."""
+        if "generators" in changes:
+            return dataclasses.replace(self, **changes)
+        fields = {"loads": self.loads, "gain_K": self.gain_K, "beta": self.beta,
+                  "tau": self.tau, **changes}
+        return Scenario._of(self._ids, self._numbers, **fields, columns=self.columns)
 
     def with_p_init(self, p_init) -> Scenario:
-        """This scenario with the generators' initial outputs set to ``p_init``; its
-        columns share ``a``, ``2a``, ``b``, ``c`` and ``w`` with this one's."""
-        gens = self.generators
-        out = dataclasses.replace(self, generators=tuple(map(
-            Generator, [g.id for g in gens], [g.cost for g in gens], p_init)))
-        return _cache_columns(out, dataclasses.replace(
-            self.columns, p_init=_read_only(np.array(p_init, dtype=float))))
-
-
-def _cache_columns(s: Scenario, columns: Columns) -> Scenario:
-    """``s`` with ``columns`` as its built columns, which must be the generators'."""
-    s.__dict__["columns"] = columns  # where cached_property keeps its value
-    return s
+        """This scenario with the generators' initial outputs set to ``p_init``, one
+        value per generator (else ValueError); its columns share ``a``, ``2a``, ``b``,
+        ``c`` and ``w`` with this one's."""
+        if len(p_init := tuple(p_init)) != len(self._ids):
+            raise ValueError(f"p_init holds {len(p_init)} values for {len(self._ids)} generators")
+        columns = dataclasses.replace(self.columns, p_init=_read_only(np.array(p_init, float)))
+        return Scenario._of(self._ids, (*self._numbers[:3], p_init), self.loads, self.gain_K,
+                            self.beta, self.tau, columns)
 
 
 def _read_only(col: np.ndarray) -> np.ndarray:
@@ -224,7 +257,7 @@ def _finite(x) -> bool:
 _PLAIN_NUMBERS = frozenset({float, int})
 
 
-def _all_finite(col: list) -> bool:
+def _all_finite(col) -> bool:
     """``all(map(_finite, col))`` in C-level passes, for plain ints and floats;
     False (so the caller walks the column) when another type is present."""
     return set(map(type, col)) <= _PLAIN_NUMBERS and all(map(math.isfinite, col))
@@ -243,7 +276,7 @@ def _problem(name: str, x) -> str | None:
     return None
 
 
-def _slopes_ok(a: list) -> bool:
+def _slopes_ok(a) -> bool:
     """Whether every slope in a non-empty column of finite numbers passes ``_problem``:
     fl(1/fl(2a)) falls as a grows, so a > 0 and 0 < 1/(2a) < inf hold for all once
     they hold at the least and the greatest."""
@@ -262,23 +295,18 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     fails, and the violations come out by generator, then field.
     """
     out: list[Violation] = []
-    gens = s.generators
-    if len(gens) < 1:
+    ids, numbers = s._ids, s._numbers
+    if len(ids) < 1:
         out.append(Violation("generators", "at least one generator required"))
 
-    # a, b, c, p_init of every generator in turn: one list serves the bulk checks
-    values = [x for g in gens for x in (g.cost.a, g.cost.b, g.cost.c, g.p_init)]
     failed: dict[int, list[Violation]] = {}  # generator index -> its violations, in field order
-    if gens and not (_all_finite(values) and _slopes_ok(values[0::4])):
-        for k, (field, name) in enumerate(_FIELDS):
-            col = values[k::4]
-            if _all_finite(col) and (name != "a" or _slopes_ok(col)):
-                continue
-            for i, x in enumerate(col):
-                if (why := _problem(name, x)) is not None:
-                    failed.setdefault(i, []).append(
-                        Violation(f"generators[{i}].{field}", f"{why} for generator {i + 1}"))
-    ids = [g.id for g in gens]
+    for (field, name), col in zip(_FIELDS, numbers if ids else ()):
+        if _all_finite(col) and (name != "a" or _slopes_ok(col)):
+            continue
+        for i, x in enumerate(col):
+            if (why := _problem(name, x)) is not None:
+                failed.setdefault(i, []).append(
+                    Violation(f"generators[{i}].{field}", f"{why} for generator {i + 1}"))
     if len(set(ids)) < len(ids):
         seen_ids: set[str] = set()
         for i, x in enumerate(ids):

@@ -3,12 +3,15 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from freqdispatch import (
     ControllerKind,
+    CostCoefficients,
+    Generator,
     QuasiStatic,
     SimulationTrace,
     dual_ascent_solve,
@@ -704,3 +707,60 @@ def test_oracle_refuses_large_four_unit_grid_exit_1(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: grid_step 0.004 gives more than 8001 grid points")
+
+
+# ---------------------------------------------------------------------------
+# The command path reads the scenario's columns, never its generator objects
+
+FLEET_200 = str(Path(__file__).parent / "golden" / "fleet-200.json")
+NO_GENERATOR_COMMANDS = [
+    ["dispatch"],
+    ["iterate", "--method", "dual"],
+    ["iterate", "--method", "dual", "--lambda0", "20"],
+    ["iterate", "--method", "mom"],
+    ["iterate", "--method", "mom", "--lambda0", "20"],
+    ["simulate", "--controller", "integral", "--out-csv", "{csv}"],
+    ["simulate", "--controller", "pi"],
+    ["compare"],
+    ["equivalence", "--pair", "dual-integral", "--steps", "20"],
+    ["equivalence", "--pair", "mom-pi", "--steps", "20"],
+    ["sweep", "--param", "K", "--values", "0.5", "2.0"],
+    ["sweep", "--param", "rho", "--values", "0.01", "1.0"],
+]
+
+
+@pytest.fixture
+def generator_inits(monkeypatch):
+    """The class name of every Generator and CostCoefficients built, as they are built."""
+    built = []
+    for cls in (Generator, CostCoefficients):
+        def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built.append(_cls.__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("warm_start", [False, True], ids=["file-lambda0", "warm-start"])
+@pytest.mark.parametrize("argv", NO_GENERATOR_COMMANDS, ids=" ".join)
+def test_commands_build_no_generator_objects(generator_inits, tmp_path, capsys, argv,
+                                             warm_start):
+    # warm-start: the file's solver block without lambda0, so that a command without
+    # --lambda0 starts from the first unit's marginal cost
+    path = FLEET_200
+    if warm_start:
+        doc = json.loads(Path(FLEET_200).read_text(encoding="utf-8"))
+        del doc["solver"]["lambda0"]
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    command, *flags = argv
+    csv_path = str(tmp_path / "out.csv")
+    assert run_command([command, str(path), *(f.format(csv=csv_path) for f in flags)]) == 0
+    assert capsys.readouterr().out
+    assert generator_inits == []
+    # the count is live: reading the parsed scenario's generators builds all 400
+    assert len(parse_scenario_file(Path(path).read_text(encoding="utf-8"))
+               .scenario.generators) == 200
+    assert sorted(set(generator_inits)) == ["CostCoefficients", "Generator"]
+    assert len(generator_inits) == 400

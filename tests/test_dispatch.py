@@ -203,6 +203,17 @@ def test_default_lambda0_is_first_generator_marginal(scenario_r):
     assert len(trace.states) == 1
 
 
+def test_default_lambda0_has_the_bits_of_marginal_cost():
+    # read from the columns, the warm start is still 2.0*a*p + b of the first unit
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 50):
+        s = make_scenario(rng.uniform(0.1, 5.0, n), rng.uniform(-20.0, 20.0, n), [30.0],
+                          p_init=rng.uniform(-10.0, 30.0, n))
+        g = s.generators[0]
+        got = default_lambda0(s)
+        assert type(got) is float and got == marginal_cost(g.cost, g.p_init)
+
+
 def test_stability_bound_examples():
     assert stability_bound_alpha(make_scenario([0.5], [0.0], [1.0])) == 2.0
     assert stability_bound_alpha(make_scenario([1.0, 1.0], [0.0, 0.0], [1.0])) == 2.0

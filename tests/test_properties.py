@@ -266,6 +266,9 @@ def scenario_files(draw) -> ScenarioFile:
     return ScenarioFile(1, s, solver, simulation)
 
 
+_COLUMN_NAMES = ("a", "two_a", "b", "c", "p_init", "w")
+
+
 @BOUNDED
 @given(sf=scenario_files())
 def test_parse_inverts_serialize(sf):
@@ -275,9 +278,30 @@ def test_parse_inverts_serialize(sf):
     gens = parsed.scenario.generators
     built = Columns.of([g.cost.a for g in gens], [g.cost.b for g in gens],
                        [g.cost.c for g in gens], [g.p_init for g in gens])
-    for name in ("a", "two_a", "b", "c", "p_init", "w"):
+    for name in _COLUMN_NAMES:
         assert getattr(parsed.scenario.columns, name).tobytes() == getattr(built, name).tobytes()
     assert parsed.scenario.columns.slope == built.slope
+
+
+@BOUNDED
+@given(sf=scenario_files(), data=st.data())
+def test_constructor_and_parser_build_the_same_scenario(sf, data):
+    # Scenario(generators=...) keeps the generators it is given; the parser keeps
+    # the file's id and number lists. Both must be one scenario, before and after
+    # the copies the library makes of it.
+    built, parsed = sf.scenario, parse_scenario_file(serialize_scenario_file(sf)).scenario
+    n = len(built.generators)
+    loads = tuple(data.draw(st.lists(_finite, min_size=1, max_size=4)))
+    p_init = data.draw(_floats(-1e6, 1e6, n))
+    for x, y in [(built, parsed), (built.replace(loads=loads), parsed.replace(loads=loads)),
+                 (built.with_p_init(p_init), parsed.with_p_init(p_init))]:
+        fresh = Scenario(y.generators, y.loads, y.gain_K, y.beta, y.tau)  # its own columns
+        assert x == y == fresh and hash(x) == hash(y) == hash(fresh) and repr(x) == repr(y)
+        assert x.generators == y.generators
+        for name in _COLUMN_NAMES:
+            want = getattr(fresh.columns, name).tobytes()
+            assert getattr(x.columns, name).tobytes() == want == getattr(y.columns, name).tobytes()
+        assert x.columns.slope == y.columns.slope == fresh.columns.slope
 
 
 def _validate_row_by_row(s: Scenario) -> list[Violation]:
