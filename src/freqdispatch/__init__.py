@@ -35,7 +35,6 @@ from .dynamics import (
     SimulationTrace,
     frequency_deviation,
     integral_rhs,
-    pi_frequency_response,
     pi_rhs,
     settling_time,
     simulate,

@@ -300,19 +300,18 @@ def parse_scenario_file(text: str) -> ScenarioFile:
 
 def serialize_scenario_file(sf: ScenarioFile) -> str:
     """Inverse of parse_scenario_file: parsing the output reproduces ``sf``."""
+    s = sf.scenario
     payload: dict = {
         "format_version": sf.format_version,
         "scenario": {
-            "generators": [
-                {"id": g.id,
-                 "cost": {"a": g.cost.a, "b": g.cost.b, "c": g.cost.c},
-                 "p_init": g.p_init}
-                for g in sf.scenario.generators
+            "generators": [  # from the ids and number columns: no generator objects
+                {"id": gen_id, "cost": {"a": a, "b": b, "c": c}, "p_init": p_init}
+                for gen_id, a, b, c, p_init in zip(s._ids, *s._numbers)
             ],
-            "loads": list(sf.scenario.loads),
-            "gain_K": sf.scenario.gain_K,
-            "beta": sf.scenario.beta,
-            "tau": sf.scenario.tau,
+            "loads": list(s.loads),
+            "gain_K": s.gain_K,
+            "beta": s.beta,
+            "tau": s.tau,
         },
     }
     if sf.solver is not None:  # the options that are set

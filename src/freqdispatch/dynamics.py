@@ -20,7 +20,6 @@ import numpy as np
 from .model import (
     ControllerConfig,
     ControllerKind,
-    CostCoefficients,
     Scenario,
     total_load,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "SimulationTrace",
     "frequency_deviation",
     "integral_rhs",
-    "pi_frequency_response",
     "pi_rhs",
     "settling_time",
     "simulate",
@@ -360,16 +358,3 @@ def settling_time(trace: SimulationTrace, eps: float) -> float:
     j = idx0 + int(outside[-1])
     return math.inf if j == len(t) - 1 else float(t[j + 1])
 
-
-def pi_frequency_response(cost: CostCoefficients, gain_k: float, tau: float,
-                          omega: float) -> complex:
-    """PI transfer function -(K/(2a)) * (1 + 1/(tau*s)) evaluated at s = j*omega.
-
-    The magnitude decreases monotonically with omega toward the
-    proportional gain K/(2a). omega = 0 is the integrator pole and is
-    rejected.
-    """
-    if omega == 0:
-        raise ValueError("omega must be nonzero (integrator pole at 0)")
-    s_val = 1j * omega
-    return -(gain_k / (2.0 * cost.a)) * (1.0 + 1.0 / (tau * s_val))

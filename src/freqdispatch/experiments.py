@@ -151,10 +151,6 @@ def _method_summary(trace: IterationTrace, tol: float, predicted: float) -> Meth
     )
 
 
-def _economic_start(s: Scenario) -> Scenario:
-    return s.with_p_init(analytic_dispatch(s).p)
-
-
 def compare_convergence(s: Scenario, alpha: float, rho: float,
                         tol: float = 1e-6, *, max_iter: int = 10000,
                         lambda0: float | None = None, load_scale: float = 1.2,
@@ -162,9 +158,14 @@ def compare_convergence(s: Scenario, alpha: float, rho: float,
     """Run both discrete solvers and both continuous controllers.
 
     The continuous runs share everything: economic initialization at the
-    scenario load, a load step to load_scale times the original at t =
-    tau, h = tau/100, t_end = 100*tau. A diverged solver is reported in
-    its stop_reason, never raised.
+    scenario load D, a load step to load_scale times D at t = tau,
+    h = tau/100, t_end = 100*tau. A diverged solver is reported in its
+    stop_reason, never raised.
+
+    The loop's coupling is rank one, so delta_f sees the fleet only
+    through S = sum 1/(2 a_i) and D: it is the delta_f of one unit with
+    1/(2a) = S started at p = D. The continuous runs are that unit's, and
+    it settles exactly as the fleet does, at any N.
 
     Under the quasi-static model each continuous run decays as a single
     exponential from delta_f0 = (1 - load_scale) * D / beta, with
@@ -185,15 +186,16 @@ def compare_convergence(s: Scenario, alpha: float, rho: float,
     dual = _method_summary(dual_trace, tol, dual_contraction_factor(s, alpha))
     mom = _method_summary(mom_trace, tol, mom_contraction_factor(s, rho))
 
-    start = _economic_start(s)
-    new_loads = tuple(x * load_scale for x in s.loads)
-    events = [(s.tau, new_loads)]
+    d = total_load(s)
+    unit = Scenario._of(("equivalent",), ((0.5 / s.columns.slope,), (0.0,), (0.0,), (d,)),
+                        (d,), s.gain_K, s.beta, s.tau)
+    events = [(s.tau, (load_scale * d,))]
     h, t_end = s.tau / 100.0, 100.0 * s.tau
     model = QuasiStatic(s.beta)
     settle = {}
     for kind in (ControllerKind.INTEGRAL, ControllerKind.PROPORTIONAL_INTEGRAL):
         cfg = ControllerConfig(kind, s.gain_K, s.tau)
-        trace = simulate(start, cfg, model, h=h, t_end=t_end, events=events)
+        trace = simulate(unit, cfg, model, h=h, t_end=t_end, events=events)
         settle[kind] = settling_time(trace, settle_eps)
 
     return ConvergenceReport(

@@ -251,7 +251,12 @@ class Violation:
 
 
 def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    """Whether ``x`` is an int or float that is finite as a float; an int past the
+    float range counts as infinite, as the scenario file parser reads it."""
+    try:
+        return isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 _PLAIN_NUMBERS = frozenset({float, int})
@@ -259,8 +264,12 @@ _PLAIN_NUMBERS = frozenset({float, int})
 
 def _all_finite(col) -> bool:
     """``all(map(_finite, col))`` in C-level passes, for plain ints and floats;
-    False (so the caller walks the column) when another type is present."""
-    return set(map(type, col)) <= _PLAIN_NUMBERS and all(map(math.isfinite, col))
+    False (so the caller walks the column) when another type or an int past
+    the float range is present."""
+    try:
+        return set(map(type, col)) <= _PLAIN_NUMBERS and all(map(math.isfinite, col))
+    except OverflowError:
+        return False
 
 
 def _problem(name: str, x) -> str | None:

@@ -764,3 +764,11 @@ def test_commands_build_no_generator_objects(generator_inits, tmp_path, capsys, 
                .scenario.generators) == 200
     assert sorted(set(generator_inits)) == ["CostCoefficients", "Generator"]
     assert len(generator_inits) == 400
+
+
+def test_serialize_builds_no_generator_objects(generator_inits):
+    # the writer reads the ids and number columns, not Scenario.generators
+    sf = parse_scenario_file(Path(FLEET_200).read_text(encoding="utf-8"))
+    text = serialize_scenario_file(sf)
+    assert "generators" not in sf.scenario.__dict__ and generator_inits == []
+    assert parse_scenario_file(text) == sf

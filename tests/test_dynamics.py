@@ -9,7 +9,6 @@ import pytest
 from freqdispatch import (
     ControllerConfig,
     ControllerKind,
-    CostCoefficients,
     Inertial,
     LoadEvent,
     QuasiStatic,
@@ -18,7 +17,6 @@ from freqdispatch import (
     frequency_deviation,
     integral_rhs,
     marginal_cost,
-    pi_frequency_response,
     pi_rhs,
     settling_time,
     simulate,
@@ -485,30 +483,3 @@ def test_settling_time_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
         settling_time(trace, 0.0)
 
-
-# ---------------------------------------------------------------------------
-# PI frequency response
-
-def test_pi_frequency_response_examples():
-    got = pi_frequency_response(CostCoefficients(0.5, 0.0), 1.0, 1.0, 1.0)
-    assert got == pytest.approx(-1.0 + 1.0j, abs=1e-15)
-    got = pi_frequency_response(CostCoefficients(1.0, 0.0), 1.0, 2.0, 0.5)
-    assert got == pytest.approx(-0.5 + 0.5j, abs=1e-15)
-
-
-def test_pi_frequency_response_high_frequency_limit():
-    got = pi_frequency_response(CostCoefficients(0.5, 0.0), 1.0, 1.0, 1e9)
-    assert abs(got) == pytest.approx(1.0, rel=1e-9)  # K/(2a)
-
-
-def test_pi_frequency_response_magnitude_monotone():
-    omegas = np.logspace(-3, 3, 25)
-    mags = [abs(pi_frequency_response(CostCoefficients(0.5, 0.0), 1.0, 1.0, w))
-            for w in omegas]
-    assert all(x > y for x, y in zip(mags, mags[1:]))
-    assert mags[-1] >= 1.0  # bounded below by the proportional gain
-
-
-def test_pi_frequency_response_rejects_zero_omega():
-    with pytest.raises(ValueError):
-        pi_frequency_response(CostCoefficients(0.5, 0.0), 1.0, 1.0, 0.0)

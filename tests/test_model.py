@@ -101,6 +101,8 @@ def test_validate_reports_nonpositive_beta():
     ({"tau": 0.0}, "tau"),
     ({"tau": -0.5}, "tau"),
     ({"tau": math.inf}, "tau"),
+    ({"gain_K": 10 ** 400}, "gain_K"),  # an int past the float range is not finite
+    ({"beta": -10 ** 400}, "beta"),
 ])
 def test_validate_scalar_boundaries(kwargs, field):
     s = make_scenario([0.5], [1.0], [10.0], **kwargs)

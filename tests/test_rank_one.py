@@ -1,9 +1,14 @@
-"""The rank-one kernel: O(N) method-of-multipliers step, columns once per scenario."""
+"""The rank-one kernel: O(N) method-of-multipliers step, columns once per scenario,
+settling on the one-unit equivalent."""
+
+import json
+import math
 
 import numpy as np
 import pytest
 
 import freqdispatch.dynamics as dynamics
+import freqdispatch.experiments as experiments
 import freqdispatch.model as model
 from freqdispatch import (
     ControllerConfig,
@@ -124,13 +129,13 @@ def test_simulate_command_builds_columns_once(monkeypatch, tmp_path, capsys, con
 
 @pytest.mark.parametrize("param", ["K", "tau"])
 def test_sweep_shares_columns_across_values(monkeypatch, param):
-    # one build for the scenario; each value's economic start shares its columns
-    # but p_init, whatever K or tau
-    s = reference_scenario()
+    # one N-wide build for the scenario, whatever K or tau; each value's settle
+    # runs on the one-unit equivalent, whose columns are built once per value
+    s = _random_fleet(np.random.default_rng(12), 5)
     builds = _count_column_builds(monkeypatch)
-    records = sweep(s, param, [0.5, 1.0, 2.0])
+    records = sweep(s, param, [0.5, 1.0, 2.0], max_iter=10)
     assert [r.settling_integral is not None for r in records] == [True] * 3
-    assert builds == [2]
+    assert builds == [5, 1, 1, 1]
 
 
 def test_economic_start_shares_every_column_but_p_init():
@@ -175,6 +180,36 @@ def test_sample_times_lie_on_the_grid(method):
         nxt = stepper(pi_rhs, state, s, cfg, h)
         assert nxt.t == pytest.approx(trace.t[i + 1], abs=1e-12)
         assert np.max(np.abs(np.asarray(nxt.p) - trace.p[i + 1])) <= tol
+
+
+def test_compare_settles_a_fleet_past_the_trace_cap(monkeypatch, tmp_path, capsys):
+    # The settle runs on the one-unit equivalent, so a fleet whose 10,001-sample
+    # trace would exceed MAX_TRACE_CELLS settles like any other. beta = K*S makes
+    # dual ascent deadbeat and the method of multipliers halve the imbalance.
+    n = dynamics.MAX_TRACE_CELLS // 10_001 - 1
+    assert n > 9_997
+    rng = np.random.default_rng(n)
+    s = _random_fleet(rng, n)
+    s = s.replace(beta=s.gain_K * aggregate_power_slope(s))
+    path = tmp_path / "fleet.json"
+    path.write_text(serialize_scenario_file(ScenarioFile(1, s)))
+    widths = []
+    original = dynamics.simulate
+
+    def one_unit_only(unit, *args, **kwargs):
+        widths.append(len(unit.columns.a))
+        return original(unit, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "simulate", one_unit_only)
+    assert run_command(["compare", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert widths == [1, 1]
+    big_s, d = aggregate_power_slope(s), total_load(s)
+    df0 = (1.0 - 1.2) * d / s.beta
+    for key, rate in (("settling_integral", s.gain_K * big_s / (s.tau * s.beta)),
+                      ("settling_pi", s.gain_K * big_s / (s.tau * (s.beta + s.gain_K * big_s)))):
+        want = s.tau + math.log(abs(df0) / 1e-4) / rate
+        assert abs(out[key] - want) <= s.tau / 100.0, key
 
 
 def test_reference_settling_times_are_exact():
