@@ -510,6 +510,20 @@ def test_cmd_sweep(scenario_file, capsys, tmp_path):
     assert len(lines) == 3
 
 
+def test_sweep_csv_leaves_the_cells_a_parameter_does_not_run_blank(capsys, tmp_path):
+    out_csv = tmp_path / "sweep.csv"
+    reference = str(Path(__file__).parent / "golden" / "reference.json")
+    assert run_command(["sweep", reference, "--param", "rho", "--values", "0.5", "2",
+                        "--out-csv", str(out_csv)]) == 0
+    capsys.readouterr()
+    assert out_csv.read_text() == (
+        "value,dual_iterations,dual_converged,dual_stop_reason,dual_empirical_ratio,"
+        "dual_predicted_ratio,mom_iterations,mom_converged,mom_stop_reason,"
+        "mom_empirical_ratio,mom_predicted_ratio,settling_integral,settling_pi\n"
+        "0.5,,,,,,29,true,tolerance,0.57142857143222103,0.5714285714285714,,\n"
+        "2,,,,,,11,true,tolerance,0.25,0.25,,\n")
+
+
 def test_cmd_equivalence(scenario_file, capsys):
     code = run_command(["equivalence", scenario_file, "--pair", "dual-integral",
                         "--steps", "100", "--lambda0", "0"])
