@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -35,6 +35,8 @@ from .dynamics import (
 )
 from .experiments import (
     EquivalencePair,
+    MethodConvergence,
+    SweepRecord,
     check_euler_equivalence,
     compare_convergence,
     empirical_ratio,
@@ -388,27 +390,27 @@ def _write_simulation_csv(trace: SimulationTrace, sink) -> None:
         sink.writelines(",".join(values) + "\n" for values in cells.tolist())
 
 
+def _cell(x) -> str:
+    """A sweep CSV cell: None empty, a bool true or false, an int as is, a stop
+    reason its value and a float ``.17g``."""
+    if x is None:
+        return ""
+    if isinstance(x, int):  # a bool too: str(True).lower() is "true"
+        return str(x).lower()
+    return x.value if isinstance(x, StopReason) else _fmt(x)
+
+
 def _write_sweep_csv(records, sink) -> None:
-    cols = ["value",
-            "dual_iterations", "dual_converged", "dual_stop_reason",
-            "dual_empirical_ratio", "dual_predicted_ratio",
-            "mom_iterations", "mom_converged", "mom_stop_reason",
-            "mom_empirical_ratio", "mom_predicted_ratio",
-            "settling_integral", "settling_pi"]
-    sink.write(",".join(cols) + "\n")
-
-    def method_cells(m):
-        if m is None:
-            return [""] * 5
-        return [str(m.iterations), str(m.converged).lower(), m.stop_reason.value,
-                "" if m.empirical_ratio is None else _fmt(m.empirical_ratio),
-                _fmt(m.predicted_ratio)]
-
-    for rec in records:
-        row = [_fmt(rec.value)] + method_cells(rec.dual) + method_cells(rec.mom)
-        row.append("" if rec.settling_integral is None else _fmt(rec.settling_integral))
-        row.append("" if rec.settling_pi is None else _fmt(rec.settling_pi))
-        sink.write(",".join(row) + "\n")
+    """A row per ``SweepRecord`` and a column per field, where a ``MethodConvergence``
+    field spreads into a column per field of its own (``dual_iterations``, ...)."""
+    method = [m.name for m in fields(MethodConvergence)]
+    columns = [(f.name, m) for f in fields(SweepRecord)
+               for m in (method if "MethodConvergence" in str(f.type) else [None])]
+    sink.write(",".join(name if m is None else f"{name}_{m}" for name, m in columns) + "\n")
+    for rec in records:  # a method the sweep did not run is None: its cells stay empty
+        cells = (getattr(rec, name) if m is None else getattr(getattr(rec, name), m, None)
+                 for name, m in columns)
+        sink.write(",".join(map(_cell, cells)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +422,10 @@ _encode = json.JSONEncoder(allow_nan=False).encode
 
 def _json(x, indent: str = "") -> str:
     """``x`` as ``json.dumps(x, indent=2)`` writes it, nested ``indent`` deep, with
-    tuples as lists, the enums above as their values and a non-finite float as null
-    (JSON has no Infinity, for settling that never happens, and no NaN). A list of
-    plain finite floats is written in one join."""
+    tuples as lists, the enums above as their values, a dataclass (a report) as the
+    object of its fields in declaration order and a non-finite float as null (JSON
+    has no Infinity, for settling that never happens, and no NaN). A list of plain
+    finite floats is written in one join."""
     inner = indent + "  "
     if isinstance(x, dict):
         if not x:
@@ -440,6 +443,8 @@ def _json(x, indent: str = "") -> str:
             items = (_json(v, inner) for v in x)
     elif isinstance(x, _ENUMS):
         return _encode(x.value)
+    elif is_dataclass(x):
+        return _json({f.name: getattr(x, f.name) for f in fields(x)}, indent)
     elif isinstance(x, float) and not math.isfinite(x):
         return "null"
     else:
@@ -618,13 +623,7 @@ def _cmd_simulate(args) -> int:
         "final_delta_f": float(trace.delta_f[-1]),
         "settling_time": settling_time(trace, args.eps),
         "settling_eps": args.eps,
-        "steady_state": {
-            "passed": steady.passed,
-            "power_error": steady.power_error,
-            "freq_error": steady.freq_error,
-            "spread_error": steady.spread_error,
-            "failures": list(steady.failures),
-        },
+        "steady_state": steady,
     }
     _emit(payload)
     if args.out_csv:
@@ -633,27 +632,12 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _method_payload(m) -> dict | None:
-    if m is None:
-        return None
-    return {"iterations": m.iterations, "converged": m.converged,
-            "stop_reason": m.stop_reason, "empirical_ratio": m.empirical_ratio,
-            "predicted_ratio": m.predicted_ratio}
-
-
 def _cmd_compare(args) -> int:
     sf = _read_file(args.file)
     opts = _solver_opts(args, sf.scenario, sf.solver)
     report = compare_convergence(sf.scenario, opts.alpha, opts.rho, opts.tol,
                                  max_iter=opts.max_iter, lambda0=opts.lambda0)
-    _emit({
-        "alpha": opts.alpha,
-        "rho": opts.rho,
-        "dual": _method_payload(report.dual),
-        "mom": _method_payload(report.mom),
-        "settling_integral": report.settling_integral,
-        "settling_pi": report.settling_pi,
-    })
+    _emit({"alpha": opts.alpha, "rho": opts.rho, **vars(report)})
     return EXIT_OK
 
 
@@ -662,16 +646,7 @@ def _cmd_sweep(args) -> int:
     opts = _solver_opts(args, sf.scenario, sf.solver)
     records = sweep(sf.scenario, args.param, args.values, opts.tol,
                     max_iter=opts.max_iter, lambda0=opts.lambda0)
-    _emit({
-        "parameter": args.param,
-        "records": [{
-            "value": r.value,
-            "dual": _method_payload(r.dual),
-            "mom": _method_payload(r.mom),
-            "settling_integral": r.settling_integral,
-            "settling_pi": r.settling_pi,
-        } for r in records],
-    })
+    _emit({"parameter": args.param, "records": records})
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:
             _write_sweep_csv(records, fh)

@@ -346,13 +346,14 @@ def settling_time(trace: SimulationTrace, eps: float) -> float:
     Scans the ``delta_f`` column from the last event's sample (the first
     sample without events). Returns that sample's time when the band is
     never left afterwards, and math.inf when the final sample is outside it.
+    A NaN sample counts as outside.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be finite and > 0")
     t = trace.t
     start = trace.events[-1].time if trace.events else float(t[0])
     idx0 = int(np.searchsorted(t, start))  # event times are sample times
-    outside = np.flatnonzero(np.abs(trace.delta_f[idx0:]) > eps)
+    outside = np.flatnonzero(~(np.abs(trace.delta_f[idx0:]) <= eps))
     if outside.size == 0:
         return start
     j = idx0 + int(outside[-1])

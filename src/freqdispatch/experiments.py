@@ -254,10 +254,10 @@ class SweepRecord:
     """One sweep point. Fields not exercised by the swept parameter are None."""
 
     value: float
-    dual: MethodConvergence | None
-    mom: MethodConvergence | None
-    settling_integral: float | None
-    settling_pi: float | None
+    dual: MethodConvergence | None = None
+    mom: MethodConvergence | None = None
+    settling_integral: float | None = None
+    settling_pi: float | None = None
 
 
 def sweep(s: Scenario, parameter: str, values, tol: float = 1e-6, *,
@@ -282,23 +282,16 @@ def sweep(s: Scenario, parameter: str, values, tol: float = 1e-6, *,
     for v in values:
         if parameter == "alpha":
             trace = dual_ascent_solve(s, v, tol, max_iter, lambda0)
-            records.append(SweepRecord(
-                value=v,
-                dual=_method_summary(trace, tol, dual_contraction_factor(s, v)),
-                mom=None, settling_integral=None, settling_pi=None))
+            records.append(SweepRecord(v, dual=_method_summary(
+                trace, tol, dual_contraction_factor(s, v))))
         elif parameter == "rho":
             trace = mom_solve(s, v, tol, max_iter, lambda0)
-            records.append(SweepRecord(
-                value=v, dual=None,
-                mom=_method_summary(trace, tol, mom_contraction_factor(s, v)),
-                settling_integral=None, settling_pi=None))
+            records.append(SweepRecord(v, mom=_method_summary(
+                trace, tol, mom_contraction_factor(s, v))))
         else:
             s_v = s.replace(gain_K=v) if parameter == "K" else s.replace(tau=v)
             coupling = s_v.gain_K / s_v.beta
             report = compare_convergence(s_v, coupling, coupling, tol,
                                          max_iter=max_iter, lambda0=lambda0)
-            records.append(SweepRecord(
-                value=v, dual=report.dual, mom=report.mom,
-                settling_integral=report.settling_integral,
-                settling_pi=report.settling_pi))
+            records.append(SweepRecord(v, **vars(report)))
     return tuple(records)

@@ -309,11 +309,13 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         out.append(Violation("generators", "at least one generator required"))
 
     failed: dict[int, list[Violation]] = {}  # generator index -> its violations, in field order
+    slopes_ok = bool(ids)  # every a passes its own rule
     for (field, name), col in zip(_FIELDS, numbers if ids else ()):
         if _all_finite(col) and (name != "a" or _slopes_ok(col)):
             continue
         for i, x in enumerate(col):
             if (why := _problem(name, x)) is not None:
+                slopes_ok = slopes_ok and name != "a"
                 failed.setdefault(i, []).append(
                     Violation(f"generators[{i}].{field}", f"{why} for generator {i + 1}"))
     if len(set(ids)) < len(ids):
@@ -325,6 +327,9 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             seen_ids.add(x)
     for i in sorted(failed):
         out += failed[i]
+    with np.errstate(over="ignore"):  # S as Columns.of sums it, once each 1/(2a) is finite
+        if slopes_ok and not math.isfinite((1.0 / (2.0 * np.array(numbers[0], float))).sum()):
+            out.append(Violation("generators", "the total slope sum 1/(2a) must be finite"))
 
     if len(s.loads) < 1:
         out.append(Violation("loads", "at least one load required"))

@@ -610,6 +610,19 @@ def test_overflowing_arithmetic_prints_null(tmp_path, capsys):
     assert strict_json(capsys.readouterr().out)["samples"] == 10001
 
 
+def test_slope_sum_past_the_float_range_exit_2(tmp_path, capsys):
+    path = tmp_path / "tiny-a.json"
+    generators = [{"id": f"G{i}", "cost": {"a": 2.8e-309, "b": 1.0}} for i in (1, 2)]
+    path.write_text(reference_text(scenario={**REFERENCE_JSON["scenario"],
+                                             "generators": generators}))
+    assert run_command(["validate", str(path)]) == 2
+    assert strict_json(capsys.readouterr().out) == {
+        "valid": False, "error": "scenario: invalid scenario: scenario.generators: "
+                                 "the total slope sum 1/(2a) must be finite"}
+    assert run_command(["compare", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_infinite_t_end_in_file_exit_2(tmp_path, capsys):
     path = tmp_path / "inf.json"
     path.write_text(reference_text(simulation={"controller": "integral",
@@ -621,7 +634,8 @@ def test_infinite_t_end_in_file_exit_2(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--h", "inf"], ["--h", "nan"]])
+@pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--h", "inf"], ["--h", "nan"],
+                                   ["--eps", "nan"], ["--eps", "inf"]])
 def test_non_finite_grid_flag_exit_1(scenario_file, capsys, flags):
     code = run_command(["simulate", scenario_file, "--controller", "pi", *flags])
     assert code == 1

@@ -478,8 +478,16 @@ def test_settling_time_no_events_uses_first_sample():
     assert settling_time(trace, 1e-4) == 1.0
 
 
+def test_settling_time_counts_nan_as_outside_the_band():
+    trace = _manual_trace([0.0, 1.0, 2.0], [math.nan] * 3, events=[1.0])
+    assert settling_time(trace, 1e-4) == math.inf
+    trace = _manual_trace([0.0, 1.0, 2.0, 3.0], [0.0, 1e-6, math.nan, 1e-6], events=[1.0])
+    assert settling_time(trace, 1e-4) == 3.0
+
+
 def test_settling_time_rejects_nonpositive_eps():
     trace = _manual_trace([0.0, 1.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        settling_time(trace, 0.0)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            settling_time(trace, eps)
 

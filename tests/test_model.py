@@ -137,6 +137,17 @@ def test_validate_reports_nonfinite_p_init_and_c():
     assert fields == {"generators[0].cost.c", "generators[0].p_init"}
 
 
+def test_validate_reports_a_slope_sum_past_the_float_range():
+    # each 1/(2a) is about 1.8e308, finite; their sum S is not
+    s = make_scenario([2.8e-309, 2.8e-309], [1.0, 2.0], [10.0])
+    assert [str(v) for v in validate_scenario(s)] == [
+        "generators: the total slope sum 1/(2a) must be finite"]
+    assert validate_scenario(make_scenario([2.8e-309], [1.0], [10.0])) == []
+    # the sum is checked only once every a passes its own rule
+    s = make_scenario([2.8e-309, 2.8e-309, 0.0], [1.0, 2.0, 3.0], [10.0])
+    assert [v.field for v in validate_scenario(s)] == ["generators[2].cost.a"]
+
+
 def test_ensure_valid_raises_with_itemized_message():
     s = make_scenario([0.0], [1.0], [10.0], beta=-1.0)
     with pytest.raises(ValueError) as err:

@@ -336,7 +336,8 @@ def test_constructor_and_parser_build_the_same_scenario(sf, data):
 
 def _validate_row_by_row(s: Scenario) -> list[Violation]:
     """The generator rules of validate_scenario as they were written first: one
-    generator at a time, every field, then the id."""
+    generator at a time, every field, then the id; then, once every a passes its
+    own rule, the sum of the slopes 1/(2a)."""
     def finite(x):  # an int that rounds to 2**1024 or past is infinite, as the parser reads it
         if isinstance(x, int) and abs(x) >= 2 ** 1024 - 2 ** 970:
             return False
@@ -357,6 +358,10 @@ def _validate_row_by_row(s: Scenario) -> list[Violation]:
         if g.id in seen:
             out.append(Violation(f"generators[{i}].id", f"duplicate generator id '{g.id}'"))
         seen.add(g.id)
+    slopes = [1.0 / (2.0 * g.cost.a) for g in s.generators
+              if finite(g.cost.a) and g.cost.a > 0 and 0.0 < 1.0 / (2.0 * g.cost.a) < math.inf]
+    if s.generators and len(slopes) == len(s.generators) and sum(slopes) == math.inf:
+        out.append(Violation("generators", "the total slope sum 1/(2a) must be finite"))
     return out
 
 
