@@ -346,3 +346,57 @@ def test_solver_guards(scenario_r):
         dual_ascent_solve(scenario_r, 0.5, max_iter=0)
     with pytest.raises(ValueError):
         mom_solve(scenario_r, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# A solver's trace is its initial state followed by the public one-step calls
+
+def _trace_scenario(n):
+    rng = np.random.default_rng(n)
+    return make_scenario(rng.uniform(0.1, 5.0, n), rng.uniform(0.0, 20.0, n),
+                         rng.uniform(1.0, 50.0, 2), p_init=rng.uniform(-10.0, 30.0, n),
+                         gain_K=1.3, beta=1.7, tau=0.9)
+
+
+def _bits(st):
+    """A state's fields, each float by its repr, so that equal means equal bits."""
+    return st.k, repr(st.lam), tuple(map(repr, st.p)), repr(st.imbalance), repr(st.delta_f)
+
+
+def _assert_trace_is_stepped(trace, first, step):
+    expected = [first]
+    while len(expected) < len(trace.states):
+        expected.append(step(expected[-1]))
+    assert list(map(_bits, trace.states)) == list(map(_bits, expected))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+@pytest.mark.parametrize("share,max_iter,stop", [
+    (0.7, 10000, StopReason.TOLERANCE),
+    (0.05, 5, StopReason.MAX_ITERATIONS),
+    (1.3, 10000, StopReason.DIVERGED),  # alpha past 2/S
+])
+def test_dual_trace_is_the_initial_state_then_public_steps(n, share, max_iter, stop):
+    s = _trace_scenario(n)
+    alpha = share * stability_bound_alpha(s)
+    for lambda0 in (None, 3.5):
+        trace = dual_ascent_solve(s, alpha, 1e-9, max_iter, lambda0)
+        assert trace.stop_reason is stop
+        _assert_trace_is_stepped(trace, initial_dual_state(s, lambda0),
+                                 lambda st: dual_ascent_step(st, s, alpha))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+@pytest.mark.parametrize("rho_s,max_iter,lambda0,stop", [
+    (0.8, 10000, 3.5, StopReason.TOLERANCE),
+    (0.8, 10000, None, StopReason.TOLERANCE),
+    (0.01, 5, 3.5, StopReason.MAX_ITERATIONS),
+    (0.8, 10000, 1e14, StopReason.DIVERGED),  # MoM is stable: only a start past the guard
+])
+def test_mom_trace_is_the_initial_state_then_public_steps(n, rho_s, max_iter, lambda0, stop):
+    s = _trace_scenario(n)
+    rho = rho_s / aggregate_power_slope(s)
+    trace = mom_solve(s, rho, 1e-9, max_iter, lambda0)
+    assert trace.stop_reason is stop
+    _assert_trace_is_stepped(trace, initial_mom_state(s, rho, lambda0),
+                             lambda st: mom_step(st, s, rho))

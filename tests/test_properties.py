@@ -31,10 +31,15 @@ from freqdispatch import (
     StopReason,
     aggregate_power_slope,
     analytic_dispatch,
+    check_euler_equivalence,
     compare_convergence,
     dual_ascent_solve,
+    dual_ascent_step,
+    initial_dual_state,
+    initial_mom_state,
     integral_rhs,
     mom_solve,
+    mom_step,
     pi_rhs,
     settling_time,
     simulate,
@@ -262,6 +267,55 @@ def test_dual_and_mom_converge_to_the_closed_form(case):
         last = trace.states[-1]
         scale = max(1.0, *map(abs, optimum.p))
         assert max(abs(x - y) for x, y in zip(last.p, optimum.p)) <= tol + 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# The discrete/continuous equivalence, bit for bit
+
+@st.composite
+def equivalence_cases(draw):
+    """N in 1..50, either pair, a drawn or the default lambda0, and 1..60 steps; beta is
+    K*S over a share in [0.05, 1.95], so that dual ascent at alpha = K/beta converges."""
+    n = draw(st.integers(1, 50))
+    s = make_scenario(draw(_floats(0.1, 5.0, n)), draw(_floats(0.0, 20.0, n)),
+                      draw(_floats(1.0, 50.0, 2)), p_init=draw(_floats(-10.0, 30.0, n)),
+                      gain_K=draw(st.floats(0.2, 5.0)), tau=draw(st.floats(0.2, 5.0)))
+    s = s.replace(beta=s.gain_K * aggregate_power_slope(s) / draw(st.floats(0.05, 1.95)))
+    return (s, draw(st.sampled_from(list(EquivalencePair))),
+            draw(st.one_of(st.none(), st.floats(-50.0, 50.0))), draw(st.integers(1, 60)))
+
+
+def _reference_equivalence(s: Scenario, pair, steps: int, lambda0) -> float:
+    """The largest power gap between the public one-step calls at alpha = rho = K/beta
+    and forward Euler at h = tau from the same start, each written out."""
+    coupling = s.gain_K / s.beta
+    g = s.gain_K / (s.columns.two_a * s.tau)
+    if pair is EquivalencePair.DUAL_VS_INTEGRAL:
+        state = initial_dual_state(s, lambda0)
+        step = lambda cur: dual_ascent_step(cur, s, coupling)
+    else:
+        state = initial_mom_state(s, coupling, lambda0)
+        step = lambda cur: mom_step(cur, s, coupling)
+        g = g * (s.beta / (s.beta + s.gain_K * s.columns.slope))
+    d = sum(s.loads)
+    p = np.array(state.p)
+    deviation = 0.0
+    for _ in range(steps):
+        state = step(state)
+        p = p + s.tau * (g * -((sum(p.tolist()) - d) / s.beta))
+        deviation = max(deviation, *(abs(x - y) for x, y in zip(state.p, p.tolist())))
+    return deviation
+
+
+@BOUNDED
+@given(case=equivalence_cases())
+@example(case=(make_scenario([0.5, 1.0], [1.0, 2.0], [6.0, 4.0], p_init=[7.0, 3.0], beta=1.5),
+               EquivalencePair.MOM_VS_PI, 0.0, 60))
+def test_equivalence_is_the_public_steps_against_an_euler_twin_bit_for_bit(case):
+    s, pair, lambda0, steps = case
+    expected = _reference_equivalence(s, pair, steps, lambda0)
+    assert math.isfinite(expected)
+    assert check_euler_equivalence(s, pair, steps, lambda0).max_abs_deviation == expected
 
 
 # ---------------------------------------------------------------------------
