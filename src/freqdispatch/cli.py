@@ -660,7 +660,7 @@ def _cmd_equivalence(args) -> int:
     report = check_euler_equivalence(sf.scenario, pair, args.steps, lambda0)
     _emit({"pair": report.pair, "steps": report.steps,
            "max_abs_deviation": report.max_abs_deviation})
-    return EXIT_OK
+    return EXIT_OK if math.isfinite(report.max_abs_deviation) else EXIT_DIVERGED
 
 
 _HANDLERS = {

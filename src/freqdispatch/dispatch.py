@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -109,7 +109,7 @@ def analytic_dispatch(s: Scenario) -> DispatchSolution:
     """
     cols = s.columns
     lam = (total_load(s) + float(cols.w @ cols.b)) / cols.slope
-    p = _dual_power(lam, s)
+    p = tuple(_dual_power(s)(lam))
     return DispatchSolution(p=p, lambda_star=lam, total_cost=cols.total_cost(np.array(p)))
 
 
@@ -209,20 +209,45 @@ def default_lambda0(s: Scenario) -> float:
     return float(cols.two_a[0] * cols.p_init[0] + cols.b[0])
 
 
-def _dual_power(lam: float, s: Scenario) -> tuple[float, ...]:
-    return tuple(((lam - s.columns.b) / s.columns.two_a).tolist())
+def _dual_power(s: Scenario) -> Callable[[float], list]:
+    """lam -> (lam - b) / (2a): every unit where its marginal cost is lam."""
+    b, two_a = s.columns.b, s.columns.two_a
+    return lambda lam: ((lam - b) / two_a).tolist()
 
 
-def _make_state(k: int, lam: float, p: tuple[float, ...], s: Scenario) -> IterState:
-    imbalance = total_load(s) - sum(p)
-    return IterState(k=k, lam=lam, p=p, imbalance=imbalance,
-                     delta_f=-imbalance / s.beta)
+def _mom_power(s: Scenario, rho: float) -> Callable[[float], list]:
+    """lam -> the penalized stage minimizer at lam; see ``mom_inner_minimize``."""
+    if rho < 0:
+        raise ValueError("rho must be >= 0")
+    solve, b, rho_d = s.columns.solve, s.columns.b, rho * total_load(s)
+    return lambda lam: solve(rho, lam + rho_d - b).tolist()
+
+
+def _iterates(s: Scenario, power: Callable[[float], list], coupling: float,
+              lam: float | None, imbalance: float | None = None) -> Iterator[tuple]:
+    """Both solvers' price iteration  lam' = lam + coupling * imbalance,  p = power(lam),
+    imbalance = D - sum(p), as (lam, p, imbalance) from ``lam`` (None: the warm start)
+    on, or, given the ``imbalance`` at ``lam``, from the next price on."""
+    lam, d = default_lambda0(s) if lam is None else lam, total_load(s)
+    while True:
+        if imbalance is not None:
+            lam = lam + coupling * imbalance
+        p = power(lam)
+        imbalance = d - sum(p)
+        yield lam, p, imbalance
+
+
+def _states(s: Scenario, power: Callable[[float], list], coupling: float, lam: float | None,
+            imbalance: float | None = None, k: int = 0) -> Iterator[IterState]:
+    """``_iterates`` as IterStates numbered from ``k``."""
+    beta = s.beta
+    for k, (lam, p, imbalance) in enumerate(_iterates(s, power, coupling, lam, imbalance), k):
+        yield IterState(k, lam, tuple(p), imbalance, -imbalance / beta)
 
 
 def initial_dual_state(s: Scenario, lambda0: float | None = None) -> IterState:
     """State k=0 of the dual ascent: powers at marginal cost for lambda0."""
-    lam = default_lambda0(s) if lambda0 is None else lambda0
-    return _make_state(0, lam, _dual_power(lam, s), s)
+    return next(_states(s, _dual_power(s), 0.0, lambda0))  # no step, no alpha
 
 
 def dual_ascent_step(st: IterState, s: Scenario, alpha: float) -> IterState:
@@ -236,8 +261,7 @@ def dual_ascent_step(st: IterState, s: Scenario, alpha: float) -> IterState:
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    lam = st.lam + alpha * st.imbalance
-    return _make_state(st.k + 1, lam, _dual_power(lam, s), s)
+    return next(_states(s, _dual_power(s), alpha, st.lam, st.imbalance, st.k + 1))
 
 
 def stability_bound_alpha(s: Scenario) -> float:
@@ -254,25 +278,23 @@ def dual_contraction_factor(s: Scenario, alpha: float) -> float:
     return abs(1.0 - alpha * aggregate_power_slope(s))
 
 
-def _run_iteration(state0: IterState, advance: Callable[[IterState], IterState],
-                   s: Scenario, tol: float, max_iter: int) -> IterationTrace:
+def _run_iteration(s: Scenario, power: Callable[[float], list], coupling: float,
+                   lambda0: float | None, tol: float, max_iter: int) -> IterationTrace:
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     guard = DIVERGENCE_FACTOR * max(abs(total_load(s)), 1.0)
 
-    states = [state0]
-    st = state0
-    while True:
+    states = []
+    for st in _states(s, power, coupling, lambda0):
+        states.append(st)
         if not math.isfinite(st.imbalance) or abs(st.imbalance) > guard:
             return IterationTrace(tuple(states), False, StopReason.DIVERGED)
         if abs(st.imbalance) < tol:
             return IterationTrace(tuple(states), True, StopReason.TOLERANCE)
         if st.k >= max_iter:
             return IterationTrace(tuple(states), False, StopReason.MAX_ITERATIONS)
-        st = advance(st)
-        states.append(st)
 
 
 def dual_ascent_solve(s: Scenario, alpha: float, tol: float = 1e-6,
@@ -286,9 +308,7 @@ def dual_ascent_solve(s: Scenario, alpha: float, tol: float = 1e-6,
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    return _run_iteration(initial_dual_state(s, lambda0),
-                          lambda st: dual_ascent_step(st, s, alpha),
-                          s, tol, max_iter)
+    return _run_iteration(s, _dual_power(s), alpha, lambda0, tol, max_iter)
 
 
 def mom_inner_minimize(lam: float, s: Scenario, rho: float) -> tuple[float, ...]:
@@ -302,16 +322,12 @@ def mom_inner_minimize(lam: float, s: Scenario, rho: float) -> tuple[float, ...]
     The matrix is diagonal plus rank one, so the Sherman-Morrison formula
     solves it in O(N) without forming it.
     """
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
-    cols = s.columns
-    return tuple(cols.solve(rho, lam + rho * total_load(s) - cols.b).tolist())
+    return tuple(_mom_power(s, rho)(lam))
 
 
 def initial_mom_state(s: Scenario, rho: float, lambda0: float | None = None) -> IterState:
     """State k=0 of the method of multipliers: penalized minimizer at lambda0."""
-    lam = default_lambda0(s) if lambda0 is None else lambda0
-    return _make_state(0, lam, mom_inner_minimize(lam, s, rho), s)
+    return next(_states(s, _mom_power(s, rho), rho, lambda0))
 
 
 def mom_step(st: IterState, s: Scenario, rho: float) -> IterState:
@@ -322,8 +338,7 @@ def mom_step(st: IterState, s: Scenario, rho: float) -> IterState:
     """
     if rho <= 0:
         raise ValueError("rho must be > 0")
-    lam = st.lam + rho * st.imbalance
-    return _make_state(st.k + 1, lam, mom_inner_minimize(lam, s, rho), s)
+    return next(_states(s, _mom_power(s, rho), rho, st.lam, st.imbalance, st.k + 1))
 
 
 def mom_solve(s: Scenario, rho: float, tol: float = 1e-6, max_iter: int = 10000,
@@ -331,9 +346,7 @@ def mom_solve(s: Scenario, rho: float, tol: float = 1e-6, max_iter: int = 10000,
     """Iterate mom_step until |imbalance| < tol; same semantics as dual_ascent_solve."""
     if rho <= 0:
         raise ValueError("rho must be > 0")
-    return _run_iteration(initial_mom_state(s, rho, lambda0),
-                          lambda st: mom_step(st, s, rho),
-                          s, tol, max_iter)
+    return _run_iteration(s, _mom_power(s, rho), rho, lambda0, tol, max_iter)
 
 
 def mom_contraction_factor(s: Scenario, rho: float) -> float:

@@ -16,21 +16,20 @@ import numpy as np
 from .dispatch import (
     IterationTrace,
     StopReason,
+    _dual_power,
+    _iterates,
+    _mom_power,
     analytic_dispatch,
     dual_ascent_solve,
-    dual_ascent_step,
     dual_contraction_factor,
-    initial_dual_state,
-    initial_mom_state,
     mom_contraction_factor,
     mom_solve,
-    mom_step,
 )
 from .dynamics import (
     QuasiStatic,
     SimulationTrace,
+    _check_model,
     _gains,
-    frequency_deviation,
     settling_time,
     simulate,
 )
@@ -69,35 +68,37 @@ def check_euler_equivalence(s: Scenario, pair: EquivalencePair, steps: int,
                             lambda0: float | None = None) -> EquivalenceReport:
     """Run a discrete solver and its continuous twin side by side.
 
-    The discrete side iterates with step size K/beta; the continuous side
-    integrates the matching controller with forward Euler at h = tau from
-    the identical starting powers. Both recursions are algebraically the
-    same map, so the reported deviation is floating-point residue only.
+    The discrete side is the solvers' own iteration with step size K/beta;
+    the continuous side integrates the matching controller with forward
+    Euler at h = tau from the identical starting powers. Both recursions are
+    algebraically the same map, so the deviation is floating-point residue
+    only, or NaN once either side overflows.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    _check_model(QuasiStatic(s.beta))
     coupling = s.gain_K / s.beta  # alpha and rho implied by the frequency map
 
     if pair is EquivalencePair.DUAL_VS_INTEGRAL:
-        st = initial_dual_state(s, lambda0)
-        advance = lambda cur: dual_ascent_step(cur, s, coupling)
-        kind = ControllerKind.INTEGRAL
+        power, kind = _dual_power(s), ControllerKind.INTEGRAL
     elif pair is EquivalencePair.MOM_VS_PI:
-        st = initial_mom_state(s, coupling, lambda0)
-        advance = lambda cur: mom_step(cur, s, coupling)
-        kind = ControllerKind.PROPORTIONAL_INTEGRAL
+        power, kind = _mom_power(s, coupling), ControllerKind.PROPORTIONAL_INTEGRAL
     else:
         raise ValueError(f"unknown equivalence pair {pair!r}")
 
     g = _gains(s, ControllerConfig(kind, s.gain_K, s.tau))
-    d = total_load(s)
-    p, listed = np.array(st.p), st.p
+    d, beta, tau, isfinite = total_load(s), s.beta, s.tau, math.isfinite
+    iterates = _iterates(s, power, coupling, lambda0)
+    _, listed, _ = next(iterates)
+    p, total = np.array(listed), sum(listed)
     deviation = 0.0
-    for _ in range(steps):
-        st = advance(st)
-        p = p + s.tau * (g * -frequency_deviation(listed, d, s.beta))  # Euler at h = tau
+    for _, (_, exact, imbalance) in zip(range(steps), iterates):
+        p = p + tau * (g * -((total - d) / beta))  # Euler at h = tau
         listed = p.tolist()
-        deviation = max(deviation, max(map(abs, map(operator.sub, st.p, listed))))
+        total = sum(listed)
+        if not (isfinite(imbalance) and isfinite(total)):  # else a term overflowed
+            return EquivalenceReport(pair, math.nan, steps)
+        deviation = max(deviation, max(map(abs, map(operator.sub, exact, listed))))
     return EquivalenceReport(pair, deviation, steps)
 
 

@@ -533,6 +533,23 @@ def test_cmd_equivalence(scenario_file, capsys):
     assert payload["steps"] == 100
 
 
+@pytest.mark.parametrize("steps,deviation,code", [
+    (141, 3.4927205416857597e+292, 0),  # the last step before the iterates overflow
+    (142, None, 3),
+    (200, None, 3),  # a NaN gap after the first step does not hide behind the earlier maximum
+])
+def test_cmd_equivalence_overflow_prints_null_exit_3(tmp_path, capsys, steps, deviation, code):
+    # at beta = 0.01 the coupling K/beta is 100, far past dual ascent's bound 2/S = 4/3
+    doc = json.loads(reference_text())
+    doc["scenario"]["beta"] = 0.01
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["equivalence", str(path), "--pair", "dual-integral",
+                        "--lambda0", "0", "--steps", str(steps)]) == code
+    assert strict_json(capsys.readouterr().out) == {
+        "pair": "dual-integral", "steps": steps, "max_abs_deviation": deviation}
+
+
 def test_usage_errors_exit_1(capsys):
     assert run_command(["frobnicate"]) == 1
     assert run_command([]) == 1

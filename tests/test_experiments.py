@@ -51,6 +51,15 @@ def test_euler_equivalence_long_run_guard(pair, scenario_r):
     assert report.max_abs_deviation <= 1e-9
 
 
+def test_euler_equivalence_overflow_is_nan(scenario_r):
+    # K/beta = 100 is far past dual ascent's bound 2/S; the iterates overflow at step 142
+    s = scenario_r.replace(beta=0.01)
+    pair = EquivalencePair.DUAL_VS_INTEGRAL
+    assert check_euler_equivalence(s, pair, 141, 0.0).max_abs_deviation == 3.4927205416857597e+292
+    for steps in (142, 143, 500):
+        assert math.isnan(check_euler_equivalence(s, pair, steps, 0.0).max_abs_deviation)
+
+
 def test_euler_equivalence_rejects_zero_steps(scenario_r):
     with pytest.raises(ValueError):
         check_euler_equivalence(scenario_r, EquivalencePair.DUAL_VS_INTEGRAL, 0)
