@@ -331,7 +331,7 @@ def serialize_scenario_file(sf: ScenarioFile) -> str:
 # ---------------------------------------------------------------------------
 # CSV traces
 
-_CSV_BLOCK_CELLS = 4096  # simulation CSV cells formatted per block: a few hundred kB
+_CSV_BLOCK_CELLS = 4096  # CSV cells formatted per block: a few hundred kB
 
 
 def _fmt(x: float) -> str:
@@ -341,11 +341,10 @@ def _fmt(x: float) -> str:
 def write_trace_csv(trace, sink) -> None:
     """Write a solver or simulation trace as CSV with round-trip-exact floats.
 
-    Every float cell holds exactly ``format(x, ".17g")``. A simulation trace is
-    written in blocks of rows, and a block that repeats values formats each
-    distinct value once: started from an economic operating point, the loop
-    keeps every unit at one marginal cost, so most of a row's marginal-cost
-    cells hold the same few values.
+    Every float cell holds exactly ``format(x, ".17g")``. Both kinds of trace
+    are written in blocks of rows, and each block's cells are turned into text
+    together by one numpy kernel, which formats alone only the rare cell it
+    cannot certify (see ``_csv_rows``).
     """
     if isinstance(trace, IterationTrace):
         _write_iteration_csv(trace, sink)
@@ -359,10 +358,14 @@ def _write_iteration_csv(trace: IterationTrace, sink) -> None:
     n = len(trace.states[0].p) if trace.states else 0
     header = ["k", "lambda"] + [f"p_{i + 1}" for i in range(n)] + ["imbalance", "delta_f"]
     sink.write(",".join(header) + "\n")
-    for st in trace.states:
-        row = [str(st.k), _fmt(st.lam)] + [_fmt(x) for x in st.p] \
-            + [_fmt(st.imbalance), _fmt(st.delta_f)]
-        sink.write(",".join(row) + "\n")
+
+    def blocks():  # k is a float cell too: a count far below 2**53 prints as str(k)
+        step = max(1, _CSV_BLOCK_CELLS // (n + 4))
+        for i in range(0, len(trace.states), step):
+            yield np.array([(st.k, st.lam, *st.p, st.imbalance, st.delta_f)
+                            for st in trace.states[i:i + step]], dtype=np.float64)
+
+    sink.writelines(_csv_rows(blocks()))
 
 
 def _write_simulation_csv(trace: SimulationTrace, sink) -> None:
@@ -371,23 +374,168 @@ def _write_simulation_csv(trace: SimulationTrace, sink) -> None:
     header = ["t"] + [f"p_{i + 1}" for i in range(n)] + ["delta_f"] \
         + [f"marginal_cost_{i + 1}" for i in range(n)]
     sink.write(",".join(header) + "\n")
-    row = ",".join(["%.17g"] * (2 * n + 2)) + "\n"  # "%.17g" is format(x, ".17g")
-    block_rows = max(1, _CSV_BLOCK_CELLS // (2 * n + 2))
-    for i in range(0, len(trace.t), block_rows):  # one block of rows in memory at a time
-        block = slice(i, i + block_rows)
-        p = trace.p[block]
-        table = np.column_stack([trace.t[block], p, trace.delta_f[block], cols.marginal(p)])
-        bits = table.view(np.int64)  # keyed on bits: -0.0 and 0.0 format differently
-        ordered = np.sort(bits, axis=None)  # the distinct count at a tenth of np.unique's cost
-        if 4 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > 3 * table.size:
-            # over 3/4 of the cells distinct: formatting row by row is cheaper
-            sink.writelines(row % tuple(values.tolist()) for values in table)
-            continue
-        distinct, index = np.unique(bits, return_inverse=True)
-        text = ",".join(["%.17g"] * len(distinct)) % tuple(distinct.view(np.float64).tolist())
-        index = index.reshape(table.shape)  # its shape for axis=None varies across numpy versions
-        cells = np.array(text.split(","), dtype=object)[index]
-        sink.writelines(",".join(values) + "\n" for values in cells.tolist())
+
+    def blocks():  # one block of rows in memory at a time
+        step = max(1, _CSV_BLOCK_CELLS // (2 * n + 2))
+        for i in range(0, len(trace.t), step):
+            p = trace.p[i:i + step]
+            yield np.column_stack([trace.t[i:i + step], p, trace.delta_f[i:i + step],
+                                   cols.marginal(p)])
+
+    sink.writelines(_csv_rows(blocks()))
+
+
+# The CSV float kernel. A nonzero cell x with 1e-280 <= |x| <= 1e280 has a
+# decimal exponent e in _EXPONENTS, and j = e - _EXPONENTS[0] is its row in the
+# tables below. Its 17-digit significand n = round(|x| * 10**(16 - e)) comes
+# from Dekker's exact product of |x| with the high part of 10**(16 - e), held as
+# hi + lo to about 2**-106, so the rounding fraction is known to about 1e-14.
+# A cell is four 8-byte words, NUL-padded and written little-endian ("<u8"),
+# so a word's byte i is its bits 8i..8i+7:
+#   word 0: the sign, the "0.000" prefix of -4 <= e <= -1 and the first digit d0;
+#   words 1-3: T, digits d1..d16 with "." inserted at byte q, then in bytes 1-6
+#   of word 3 the exponent "e+XX" or "e+XXX" and the separator.
+# Trailing zeros past the point and every unused byte stay NUL, and translate drops them.
+_EXPONENTS = np.arange(-282, 282)  # the window's exponents and one step either side
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's split of a double into two 26-bit halves
+
+
+@functools.cache  # built on first use, not at import; read-only
+def _csv_tables() -> dict:
+    u, e = np.uint64, _EXPONENTS
+    powers = []
+    for k in (16 - e).tolist():  # 10**k = num/den as hi + lo, in exact integer arithmetic
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        m, d = (num / den).as_integer_ratio()
+        powers.append((m / d, (num * d - m * den) / (den * d)))
+    hi, lo = np.array(powers).T
+    digits = np.empty((10000, 4), np.uint8)  # "0000" to "9999"; each temporary under 128 KiB
+    for i, place in enumerate([1000, 100, 10, 1]):
+        digits[:, i] = np.arange(10000) // place % 10 + 48
+    nonzero = digits[:, ::-1] != 48  # the last nonzero digit of each group, -64 for "0000"
+    last = np.where(nonzero.any(axis=1), 3 - np.argmax(nonzero, axis=1), -64).astype(np.int8)
+    fixed, neg, ae = (e >= -4) & (e < 17), e < 0, np.abs(e)
+    exp_bytes = [np.full(e.shape, 101), np.where(neg, 45, 43),
+                 np.where(ae >= 100, ae // 100 + 48, 0), ae // 10 % 10 + 48, ae % 10 + 48]
+
+    def words(values, count):  # Python ints as (count, len(values)) uint64 words
+        return np.array([[v >> 64 * i & 2 ** 64 - 1 for v in values] for i in range(count)],
+                        dtype=u)
+
+    tables = {
+        "hi": hi, "hh": hi * _SPLIT - (hi * _SPLIT - hi), "lo": lo,
+        "quad": digits.view("<u4").ravel().astype(u),
+        "z": last + np.array([[1], [5], [9], [13]], np.int8),  # as an index among d0..d16
+        "q": np.where(fixed, np.where(neg, 16, e), 0),  # "." after d_q; at 16 it never shows
+        "kp": np.where(fixed & ~neg, e, 0),  # the last digit of the integer part
+        "prefix": np.array([int.from_bytes(b"\0" + b"0.000"[:1 - k], "little") if -4 <= k < 0
+                            else 0 for k in e.tolist()], dtype=u),
+        "exp": np.where(fixed, u(0), sum(b.astype(u) << u(8 * i)
+                                         for i, b in enumerate(exp_bytes, start=1))),
+        "d0": np.arange(48, 58, dtype=u) << u(48), "sign": np.array([0, 45], dtype=u),
+        "sep": np.array([44 << 48, 10 << 48], dtype=u),
+        "low": words([(1 << 8 * q) - 1 for q in range(17)], 2),  # T's bytes before q
+        "dot": words([46 << 8 * q if q < 16 else 0 for q in range(17)], 2),
+        "keep": words([(1 << 8 * c) - 1 | (1 << 192) - (1 << 136) for c in range(18)], 3),
+    }
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a: np.ndarray, j: np.ndarray):
+    """a * 10**(16 - e) as p + r, with p = fl(a * hi) and |r| < 32."""
+    t = _csv_tables()
+    b, bh = t["hi"][j], t["hh"][j]
+    bl = b - bh
+    p = a * b
+    ah = a * _SPLIT - (a * _SPLIT - a)
+    al = a - ah
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * t["lo"][j]
+
+
+def _significands(x: np.ndarray):
+    """(n, j, special): |x| rounds to n * 10**(e - 16) with n of 17 digits, except
+    where special (a zero, or a cell to format alone), where n = 0 and e = 0."""
+    a = np.abs(x)
+    special = ~((a >= 1e-280) & (a <= 1e280))
+    a[special] = 1.0
+    j = np.floor(np.log10(a)).astype(np.intp)  # e, or one off next to a power of ten
+    j -= _EXPONENTS[0]
+    p, r = _scaled(a, j)
+    off = ((p - 1e16) + r < 0) | ((p - 1e17) + r >= -0.5)  # n would not have 17 digits
+    if off.any():
+        i = np.flatnonzero(off)
+        j[i] += np.where((p[i] - 1e16) + r[i] < 0, -1, 1)
+        p[i], r[i] = _scaled(a[i], j[i])
+        special[i] |= ((p[i] - 1e16) + r[i] < 0) | ((p[i] - 1e17) + r[i] >= -0.5)
+    rn = np.rint(r)
+    special |= np.abs(r - rn) > 0.5 - 1e-6
+    n = p.astype(np.int64) + rn.astype(np.int64)  # p >= 1e16 > 2**53 is an integer
+    n[special] = 0
+    j[special] = -_EXPONENTS[0]
+    return n, j, special
+
+
+def _digit_word(eight: np.ndarray, z_hi: np.ndarray, z_lo: np.ndarray):
+    """Eight digits as one word of their ASCII bytes, and the index of the last nonzero one."""
+    quad = _csv_tables()["quad"]
+    hi, lo = np.divmod(eight, 10 ** 4)
+    return quad[hi] | quad[lo] << np.uint64(32), np.maximum(z_hi[hi], z_lo[lo])
+
+
+def _csv_block(table: np.ndarray, out: np.ndarray) -> str:
+    """One block's CSV text, laid out in out, a (table.size, 4) "<u8" buffer.
+
+    Each temporary is dropped once used, since they set the writer's peak memory.
+    """
+    t = _csv_tables()
+    rows, cols = table.shape
+    x = table.ravel()
+    n, j, special = _significands(x)
+    d0, n = np.divmod(n, 10 ** 16)
+    out[:, 0] = t["d0"][d0] | t["prefix"][j] | t["sign"][np.signbit(x).view(np.int8)]
+    hi8, lo8 = np.divmod(n, 10 ** 8)
+    del d0, n
+    A, last_a = _digit_word(hi8, t["z"][0], t["z"][1])  # d1..d8
+    B, last_b = _digit_word(lo8, t["z"][2], t["z"][3])  # d9..d16
+    del hi8, lo8
+    last = np.maximum(np.maximum(last_a, last_b), t["kp"][j])  # the last digit shown
+    q = t["q"][j]
+    keep = last + (last > q)  # bytes of T kept: the point shows only before a digit
+    out[:, 3].reshape(rows, cols)[:] = t["exp"][j].reshape(rows, cols) \
+        | t["sep"][(np.arange(cols) == cols - 1).view(np.int8)]
+    del last, j
+    low, dot, mask = t["low"], t["dot"], t["keep"]
+    lowA = A & low[0][q]
+    A ^= lowA  # now the bytes from q on, which move up one byte
+    out[:, 1] = (lowA | A << np.uint64(8) | dot[0][q]) & mask[0][keep]
+    del lowA
+    lowB = B & low[1][q]
+    B ^= lowB
+    out[:, 2] = (lowB | B << np.uint64(8) | A >> np.uint64(56) | dot[1][q]) & mask[1][keep]
+    out[:, 3] |= B >> np.uint64(56) & mask[2][keep]
+    cells = out.view(np.uint8)
+    for i in np.flatnonzero(special & (x != 0)):
+        text = _fmt(x[i]).encode()
+        cells[i, :30] = 0  # the separator stays
+        cells[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _csv_rows(blocks):
+    """Yield each 2-D float64 block as CSV text: a line per row, every cell
+    exactly ``format(x, ".17g")``, comma-separated.
+
+    A cell the kernel cannot certify is formatted alone: a rounding fraction
+    within 1e-6 of a tie, a non-finite value, and a nonzero |x| outside
+    [1e-280, 1e280]. Signed zeros are in the kernel.
+    """
+    buf = None
+    for table in blocks:
+        if buf is None or len(buf) < table.size:
+            buf = np.zeros((table.size, 4), np.dtype("<u8"))
+        yield _csv_block(table, buf[:table.size])
 
 
 def _cell(x) -> str:

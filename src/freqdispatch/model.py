@@ -177,7 +177,8 @@ class Columns:
     def solve(self, rho: float, r) -> np.ndarray:
         """p of (diag(2a) + rho * ones) p = r in O(N) by Sherman-Morrison, y = w * r."""
         y = self.w * r
-        return y - self.w * (rho * float(y.sum()) / (1.0 + rho * self.slope))
+        # np.add.reduce is y.sum()'s pairwise sum, bit for bit, without its Python layer
+        return y - self.w * (rho * float(np.add.reduce(y)) / (1.0 + rho * self.slope))
 
     def total_cost(self, p) -> float:
         """Sum of a*p**2 + b*p + c over the units, added left to right."""

@@ -1,8 +1,10 @@
 """Scenario file parsing, CSV serialization, and command-line behaviour."""
 
 import csv
+import dataclasses
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from freqdispatch.cli import (
     serialize_scenario_file,
     write_trace_csv,
 )
+from freqdispatch.dispatch import IterState
 from freqdispatch.model import ControllerConfig
 
 from conftest import make_scenario, reference_scenario, reference_simulation_csv, strict_json
@@ -309,6 +312,21 @@ def test_iteration_trace_csv_round_trip_bitwise(scenario_r):
         assert float(row["p_2"]) == st.p[1]
         assert float(row["imbalance"]) == st.imbalance
         assert float(row["delta_f"]) == st.delta_f
+
+
+def test_iteration_trace_csv_matches_row_by_row_reference(scenario_r):
+    # a solved trace, plus states holding cells the kernel hands to format() one by one
+    trace = dual_ascent_solve(scenario_r, 0.4, tol=1e-9, lambda0=0.0)
+    k = len(trace.states)
+    extra = [IterState(k + i, x, (-x, 0.0), -0.0, 5e-324)
+             for i, x in enumerate([math.inf, -math.inf, math.nan, 3 / 2 ** 25, 1e300])]
+    trace = dataclasses.replace(trace, states=trace.states + tuple(extra))
+    sink = io.StringIO()
+    write_trace_csv(trace, sink)
+    rows = [[str(st.k)] + [format(x, ".17g") for x in (st.lam, *st.p, st.imbalance, st.delta_f)]
+            for st in trace.states]
+    assert sink.getvalue() == "".join(",".join(row) + "\n" for row in
+                                      [["k", "lambda", "p_1", "p_2", "imbalance", "delta_f"], *rows])
 
 
 def test_simulation_trace_csv_columns(scenario_r):

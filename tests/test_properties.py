@@ -1,6 +1,7 @@
 """Properties on drawn scenarios: the exact propagator against RK4, the solvers against
 the closed form, the scenario file format against itself, bulk validation and the
-simulation CSV against their row-by-row references; the command line on fuzzed
+simulation CSV against their row-by-row references; the CSV float kernel against
+format(x, ".17g"); the command line on fuzzed
 files and flags; and the JSON summary writer against json.dumps."""
 
 import contextlib
@@ -518,6 +519,51 @@ def test_simulation_csv_row_wider_than_a_block(economic):
     trace = simulate(s, ControllerConfig(PI, s.gain_K, s.tau), h=0.25, t_end=1.0,
                      events=[(0.5, (45.0, 25.0))])
     assert _csv(trace) == reference_simulation_csv(trace)
+
+
+# ---------------------------------------------------------------------------
+# The CSV float kernel against format(x, ".17g")
+
+def _kernel_matches_format(values, cols):
+    table = np.array(values, dtype=np.float64).reshape(-1, cols)
+    expected = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in table.tolist())
+    assert "".join(cli._csv_rows([table])) == expected
+
+
+_BIT_PATTERNS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_csv_kernel_matches_format_on_drawn_floats(data):
+    # floats() draws subnormals, infinities and NaNs; bit patterns spread over every exponent
+    cols = data.draw(st.integers(1, 5))
+    rows = data.draw(st.integers(1, 30))
+    values = data.draw(st.lists(st.one_of(st.floats(), _BIT_PATTERNS, st.floats(-1e3, 1e3)),
+                                min_size=rows * cols, max_size=rows * cols))
+    _kernel_matches_format(values, cols)
+
+
+_POWERS = 10.0 ** np.arange(-300, 301)
+_KERNEL_CASES = [
+    3 / 2 ** 25,  # 8.94069671630859375e-08: an exact tie at the 17th digit
+    99999999999999999.0,  # rounds up to 1e17
+    9.9999999999999995e-05, 1e-4, 1e-5,  # either side of the switch to exponent notation
+    1e16, 1e17, 9999999999999998.0, 123456789012345678.0,  # either side of the switch for large x
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e-280, 1e280, 1.0000000000000001e-280, 9.9999999999999997e279,  # the window's ends
+    math.inf, -math.inf, math.nan, 0.5, 100.0, 12.5, 0.001,
+    *np.nextafter(_POWERS, math.inf).tolist(), *np.nextafter(_POWERS, -math.inf).tolist(),
+    *_POWERS.tolist(),
+]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("cols", [1, 7])
+def test_csv_kernel_matches_format_on_listed_cases(sign, cols):
+    values = [sign * x for x in _KERNEL_CASES]
+    _kernel_matches_format(values + [0.0] * (-len(values) % cols), cols)
 
 
 # ---------------------------------------------------------------------------
