@@ -355,15 +355,18 @@ def write_trace_csv(trace, sink) -> None:
 
 
 def _write_iteration_csv(trace: IterationTrace, sink) -> None:
-    n = len(trace.states[0].p) if trace.states else 0
+    n = trace.p.shape[1]
     header = ["k", "lambda"] + [f"p_{i + 1}" for i in range(n)] + ["imbalance", "delta_f"]
     sink.write(",".join(header) + "\n")
 
-    def blocks():  # k is a float cell too: a count far below 2**53 prints as str(k)
+    k = np.arange(len(trace.lam), dtype=np.float64)  # a count far below 2**53 prints as str(k)
+
+    def blocks():  # one block of rows in memory at a time
         step = max(1, _CSV_BLOCK_CELLS // (n + 4))
-        for i in range(0, len(trace.states), step):
-            yield np.array([(st.k, st.lam, *st.p, st.imbalance, st.delta_f)
-                            for st in trace.states[i:i + step]], dtype=np.float64)
+        for i in range(0, len(k), step):
+            rows = slice(i, i + step)
+            yield np.column_stack([k[rows], trace.lam[rows], trace.p[rows],
+                                   trace.imbalance[rows], trace.delta_f[rows]])
 
     sink.writelines(_csv_rows(blocks()))
 
@@ -400,20 +403,35 @@ _EXPONENTS = np.arange(-282, 282)  # the window's exponents and one step either 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's split of a double into two 26-bit halves
 
 
+def _powers_of_ten(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi = fl(10**k) and lo = fl(10**k - hi) for each k of ``ks``, which falls by one
+    from ks[0] >= 0 to ks[-1] < 0. They come from the exact integers 5**|k|, since
+    10**k = 5**k * 2**k and ldexp scales by 2**k exactly."""
+    hi, lo, five = [], [], 1
+    for _ in range(ks[0] + 1):  # int to float rounds correctly
+        hi.append(float(five))
+        lo.append(float(five - int(hi[-1])))
+        five *= 5
+    hi.reverse()
+    lo.reverse()
+    five = 1
+    for _ in range(-ks[-1]):  # 1/5**k - m/d = (d - m * 5**k) / (d * 5**k), rounded once
+        five *= 5
+        m, d = (h := 1 / five).as_integer_ratio()
+        hi.append(h)
+        lo.append((d - m * five) / (d * five))
+    return np.ldexp(hi, ks), np.ldexp(lo, ks)
+
+
 @functools.cache  # built on first use, not at import; read-only
 def _csv_tables() -> dict:
     u, e = np.uint64, _EXPONENTS
-    powers = []
-    for k in (16 - e).tolist():  # 10**k = num/den as hi + lo, in exact integer arithmetic
-        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-        m, d = (num / den).as_integer_ratio()
-        powers.append((m / d, (num * d - m * den) / (den * d)))
-    hi, lo = np.array(powers).T
-    digits = np.empty((10000, 4), np.uint8)  # "0000" to "9999"; each temporary under 128 KiB
-    for i, place in enumerate([1000, 100, 10, 1]):
-        digits[:, i] = np.arange(10000) // place % 10 + 48
-    nonzero = digits[:, ::-1] != 48  # the last nonzero digit of each group, -64 for "0000"
-    last = np.where(nonzero.any(axis=1), 3 - np.argmax(nonzero, axis=1), -64).astype(np.int8)
+    hi, lo = _powers_of_ten(16 - e)
+    # digit i of the groups "0000" to "9999", as axis i of a 10x10x10x10 grid
+    digits = [np.arange(10).reshape([10 if j == i else 1 for j in range(4)]) for i in range(4)]
+    # the last nonzero digit of each group, -64 for "0000"
+    last = functools.reduce(np.maximum, [np.where(x != 0, i, -64) for i, x in enumerate(digits)])
+    last = last.ravel().astype(np.int8)
     fixed, neg, ae = (e >= -4) & (e < 17), e < 0, np.abs(e)
     exp_bytes = [np.full(e.shape, 101), np.where(neg, 45, 43),
                  np.where(ae >= 100, ae // 100 + 48, 0), ae // 10 % 10 + 48, ae % 10 + 48]
@@ -424,7 +442,7 @@ def _csv_tables() -> dict:
 
     tables = {
         "hi": hi, "hh": hi * _SPLIT - (hi * _SPLIT - hi), "lo": lo,
-        "quad": digits.view("<u4").ravel().astype(u),
+        "quad": sum(x + 48 << 8 * i for i, x in enumerate(digits)).ravel().astype(u),
         "z": last + np.array([[1], [5], [9], [13]], np.int8),  # as an index among d0..d16
         "q": np.where(fixed, np.where(neg, 16, e), 0),  # "." after d_q; at 16 it never shows
         "kp": np.where(fixed & ~neg, e, 0),  # the last digit of the integer part
@@ -730,16 +748,15 @@ def _cmd_iterate(args) -> int:
         trace = mom_solve(sf.scenario, opts.rho, opts.tol, opts.max_iter, opts.lambda0)
         step_size = {"rho": opts.rho}
 
-    last = trace.states[-1]
     payload = {
         "method": args.method, **step_size,
         "converged": trace.converged,
         "stop_reason": trace.stop_reason,
-        "iterations": len(trace.states) - 1,
-        "lambda": last.lam,
-        "p": list(last.p),
-        "imbalance": last.imbalance,
-        "delta_f": last.delta_f,
+        "iterations": len(trace.lam) - 1,
+        "lambda": float(trace.lam[-1]),
+        "p": trace.p[-1].tolist(),
+        "imbalance": float(trace.imbalance[-1]),
+        "delta_f": float(trace.delta_f[-1]),
         "empirical_ratio": empirical_ratio(trace, opts.tol),
     }
     _emit(payload)

@@ -9,14 +9,16 @@ convergence rates can be asserted, not just observed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .model import DispatchSolution, Scenario, total_load
+from .model import DispatchSolution, Scenario, _row_sum, total_load
 
 __all__ = [
     "DIVERGENCE_FACTOR",
@@ -54,6 +56,9 @@ MAX_GRID_POINTS = 1_000_000
 # cap is lower.
 MAX_GRID_POINTS_N4 = 8_001
 
+# Rows of a solver trace's first power buffer; it doubles when full.
+_FIRST_ROWS = 64
+
 
 class StopReason(Enum):
     TOLERANCE = "tolerance"
@@ -63,7 +68,8 @@ class StopReason(Enum):
 
 @dataclass(frozen=True)
 class IterState:
-    """One state of a price-coordination iteration.
+    """One state of a price-coordination iteration, as the public one-step calls
+    take and return it, and as ``IterationTrace.states`` lists a trace's rows.
 
     ``imbalance`` is total demand minus total generation (MW) and
     ``delta_f`` is the equivalent frequency deviation -imbalance/beta, so
@@ -77,13 +83,27 @@ class IterState:
     delta_f: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationTrace:
-    """Every state visited by a solver run, plus why it stopped."""
+    """Every state visited by a solver run, as float64 columns, plus why it stopped.
 
-    states: tuple[IterState, ...]
+    Row ``k`` is state ``k``: ``lam`` (n+1,), ``p`` (n+1, N), ``imbalance``
+    (n+1,) and ``delta_f`` (n+1,) = -imbalance/beta. ``states`` lists the rows
+    as ``IterState``s, built on first read.
+    """
+
+    lam: np.ndarray
+    p: np.ndarray
+    imbalance: np.ndarray
+    delta_f: np.ndarray
     converged: bool
     stop_reason: StopReason
+
+    @cached_property
+    def states(self) -> tuple[IterState, ...]:
+        return tuple(map(IterState, itertools.count(), self.lam.tolist(),
+                         map(tuple, self.p.tolist()), self.imbalance.tolist(),
+                         self.delta_f.tolist()))
 
 
 def aggregate_power_slope(s: Scenario) -> float:
@@ -109,7 +129,7 @@ def analytic_dispatch(s: Scenario) -> DispatchSolution:
     """
     cols = s.columns
     lam = (total_load(s) + float(cols.w @ cols.b)) / cols.slope
-    p = tuple(_dual_power(s)(lam))
+    p = tuple(_dual_power(s)(lam).tolist())
     return DispatchSolution(p=p, lambda_star=lam, total_cost=cols.total_cost(np.array(p)))
 
 
@@ -172,7 +192,7 @@ def brute_force_dispatch(s: Scenario, grid_step: float) -> DispatchSolution:
                     best = (float(grid[j]),) + tail
             p = best
 
-    lam = sum(cols.marginal(np.array(p)).tolist()) / n
+    lam = _row_sum(cols.marginal(np.array(p))) / n
     return DispatchSolution(p=p, lambda_star=lam, total_cost=cols.total_cost(np.array(p)))
 
 
@@ -209,45 +229,45 @@ def default_lambda0(s: Scenario) -> float:
     return float(cols.two_a[0] * cols.p_init[0] + cols.b[0])
 
 
-def _dual_power(s: Scenario) -> Callable[[float], list]:
+def _dual_power(s: Scenario) -> Callable[[float], np.ndarray]:
     """lam -> (lam - b) / (2a): every unit where its marginal cost is lam."""
     b, two_a = s.columns.b, s.columns.two_a
-    return lambda lam: ((lam - b) / two_a).tolist()
+    return lambda lam: (lam - b) / two_a
 
 
-def _mom_power(s: Scenario, rho: float) -> Callable[[float], list]:
+def _mom_power(s: Scenario, rho: float) -> Callable[[float], np.ndarray]:
     """lam -> the penalized stage minimizer at lam; see ``mom_inner_minimize``."""
     if rho < 0:
         raise ValueError("rho must be >= 0")
     solve, b, rho_d = s.columns.solve, s.columns.b, rho * total_load(s)
-    return lambda lam: solve(rho, lam + rho_d - b).tolist()
+    return lambda lam: solve(rho, lam + rho_d - b)
 
 
-def _iterates(s: Scenario, power: Callable[[float], list], coupling: float,
+def _iterates(s: Scenario, power: Callable[[float], np.ndarray], coupling: float,
               lam: float | None, imbalance: float | None = None) -> Iterator[tuple]:
     """Both solvers' price iteration  lam' = lam + coupling * imbalance,  p = power(lam),
     imbalance = D - sum(p), as (lam, p, imbalance) from ``lam`` (None: the warm start)
-    on, or, given the ``imbalance`` at ``lam``, from the next price on."""
-    lam, d = default_lambda0(s) if lam is None else lam, total_load(s)
+    on, or, given the ``imbalance`` at ``lam``, from the next price on. Each ``p`` is a
+    new float64 row, which the caller may keep."""
+    lam, d = float(default_lambda0(s) if lam is None else lam), total_load(s)
     while True:
         if imbalance is not None:
             lam = lam + coupling * imbalance
         p = power(lam)
-        imbalance = d - sum(p)
+        imbalance = d - _row_sum(p)
         yield lam, p, imbalance
 
 
-def _states(s: Scenario, power: Callable[[float], list], coupling: float, lam: float | None,
-            imbalance: float | None = None, k: int = 0) -> Iterator[IterState]:
-    """``_iterates`` as IterStates numbered from ``k``."""
-    beta = s.beta
-    for k, (lam, p, imbalance) in enumerate(_iterates(s, power, coupling, lam, imbalance), k):
-        yield IterState(k, lam, tuple(p), imbalance, -imbalance / beta)
+def _state(s: Scenario, power: Callable[[float], np.ndarray], coupling: float,
+           lam: float | None, imbalance: float | None = None, k: int = 0) -> IterState:
+    """The first state ``_iterates`` yields, numbered ``k``."""
+    lam, p, imbalance = next(_iterates(s, power, coupling, lam, imbalance))
+    return IterState(k, lam, tuple(p.tolist()), imbalance, -imbalance / s.beta)
 
 
 def initial_dual_state(s: Scenario, lambda0: float | None = None) -> IterState:
     """State k=0 of the dual ascent: powers at marginal cost for lambda0."""
-    return next(_states(s, _dual_power(s), 0.0, lambda0))  # no step, no alpha
+    return _state(s, _dual_power(s), 0.0, lambda0)  # no step, no alpha
 
 
 def dual_ascent_step(st: IterState, s: Scenario, alpha: float) -> IterState:
@@ -261,7 +281,7 @@ def dual_ascent_step(st: IterState, s: Scenario, alpha: float) -> IterState:
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    return next(_states(s, _dual_power(s), alpha, st.lam, st.imbalance, st.k + 1))
+    return _state(s, _dual_power(s), alpha, st.lam, st.imbalance, st.k + 1)
 
 
 def stability_bound_alpha(s: Scenario) -> float:
@@ -278,23 +298,35 @@ def dual_contraction_factor(s: Scenario, alpha: float) -> float:
     return abs(1.0 - alpha * aggregate_power_slope(s))
 
 
-def _run_iteration(s: Scenario, power: Callable[[float], list], coupling: float,
+def _run_iteration(s: Scenario, power: Callable[[float], np.ndarray], coupling: float,
                    lambda0: float | None, tol: float, max_iter: int) -> IterationTrace:
+    """The ``_iterates`` states up to the stop, each power row written into a float64
+    buffer whose row count doubles as it fills, up to max_iter + 1 rows."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     guard = DIVERGENCE_FACTOR * max(abs(total_load(s)), 1.0)
 
-    states = []
-    for st in _states(s, power, coupling, lambda0):
-        states.append(st)
-        if not math.isfinite(st.imbalance) or abs(st.imbalance) > guard:
-            return IterationTrace(tuple(states), False, StopReason.DIVERGED)
-        if abs(st.imbalance) < tol:
-            return IterationTrace(tuple(states), True, StopReason.TOLERANCE)
-        if st.k >= max_iter:
-            return IterationTrace(tuple(states), False, StopReason.MAX_ITERATIONS)
+    lams, imbalances = [], []
+    rows = np.empty((min(max_iter + 1, _FIRST_ROWS), len(s.columns.a)))
+    for k, (lam, p, imbalance) in enumerate(_iterates(s, power, coupling, lambda0)):
+        if k == len(rows):
+            rows = np.concatenate((rows, np.empty((min(k, max_iter + 1 - k), rows.shape[1]))))
+        rows[k] = p
+        lams.append(lam)
+        imbalances.append(imbalance)
+        if not math.isfinite(imbalance) or abs(imbalance) > guard:
+            stop = StopReason.DIVERGED
+        elif abs(imbalance) < tol:
+            stop = StopReason.TOLERANCE
+        elif k >= max_iter:
+            stop = StopReason.MAX_ITERATIONS
+        else:
+            continue
+        column = np.array(imbalances)
+        return IterationTrace(np.array(lams), rows[:k + 1], column, -column / s.beta,
+                              stop is StopReason.TOLERANCE, stop)
 
 
 def dual_ascent_solve(s: Scenario, alpha: float, tol: float = 1e-6,
@@ -322,12 +354,12 @@ def mom_inner_minimize(lam: float, s: Scenario, rho: float) -> tuple[float, ...]
     The matrix is diagonal plus rank one, so the Sherman-Morrison formula
     solves it in O(N) without forming it.
     """
-    return tuple(_mom_power(s, rho)(lam))
+    return tuple(_mom_power(s, rho)(lam).tolist())
 
 
 def initial_mom_state(s: Scenario, rho: float, lambda0: float | None = None) -> IterState:
     """State k=0 of the method of multipliers: penalized minimizer at lambda0."""
-    return next(_states(s, _mom_power(s, rho), rho, lambda0))
+    return _state(s, _mom_power(s, rho), rho, lambda0)
 
 
 def mom_step(st: IterState, s: Scenario, rho: float) -> IterState:
@@ -338,7 +370,7 @@ def mom_step(st: IterState, s: Scenario, rho: float) -> IterState:
     """
     if rho <= 0:
         raise ValueError("rho must be > 0")
-    return next(_states(s, _mom_power(s, rho), rho, st.lam, st.imbalance, st.k + 1))
+    return _state(s, _mom_power(s, rho), rho, st.lam, st.imbalance, st.k + 1)
 
 
 def mom_solve(s: Scenario, rho: float, tol: float = 1e-6, max_iter: int = 10000,

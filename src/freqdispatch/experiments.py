@@ -7,9 +7,9 @@ reports.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .dynamics import (
     settling_time,
     simulate,
 )
-from .model import ControllerConfig, ControllerKind, Scenario, total_load
+from .model import ControllerConfig, ControllerKind, Scenario, _row_sum, total_load
 
 __all__ = [
     "ConvergenceReport",
@@ -48,6 +48,11 @@ __all__ = [
     "sweep",
     "verify_steady_state_optimality",
 ]
+
+
+# Power cells per side that check_euler_equivalence holds before it folds them
+# into its deviation: 64 KiB of float64 each.
+_CHUNK_CELLS = 8192
 
 
 class EquivalencePair(Enum):
@@ -72,7 +77,9 @@ def check_euler_equivalence(s: Scenario, pair: EquivalencePair, steps: int,
     the continuous side integrates the matching controller with forward
     Euler at h = tau from the identical starting powers. Both recursions are
     algebraically the same map, so the deviation is floating-point residue
-    only, or NaN once either side overflows.
+    only, or NaN once either side overflows. Each side's power rows go into a
+    buffer of a fixed number of cells, and each full buffer is folded into the
+    deviation at once, so the memory used does not grow with ``steps``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -89,17 +96,32 @@ def check_euler_equivalence(s: Scenario, pair: EquivalencePair, steps: int,
     g = _gains(s, ControllerConfig(kind, s.gain_K, s.tau))
     d, beta, tau, isfinite = total_load(s), s.beta, s.tau, math.isfinite
     iterates = _iterates(s, power, coupling, lambda0)
-    _, listed, _ = next(iterates)
-    p, total = np.array(listed), sum(listed)
-    deviation = 0.0
-    for _, (_, exact, imbalance) in zip(range(steps), iterates):
+    _, p, _ = next(iterates)
+    total, rows = _row_sum(p), max(1, _CHUNK_CELLS // len(p))
+    exact, euler, deviation = [], [], 0.0
+    for _, row, imbalance in islice(iterates, steps):
         p = p + tau * (g * -((total - d) / beta))  # Euler at h = tau
-        listed = p.tolist()
-        total = sum(listed)
+        total = _row_sum(p)
         if not (isfinite(imbalance) and isfinite(total)):  # else a term overflowed
             return EquivalenceReport(pair, math.nan, steps)
-        deviation = max(deviation, max(map(abs, map(operator.sub, exact, listed))))
-    return EquivalenceReport(pair, deviation, steps)
+        exact.append(row)
+        euler.append(p)
+        if len(exact) == rows:
+            deviation = _fold(deviation, exact, euler)
+    return EquivalenceReport(pair, _fold(deviation, exact, euler), steps)
+
+
+def _fold(deviation: float, exact: list, euler: list) -> float:
+    """max(deviation, max|exact - euler|) over two equal lists of float64 rows of
+    finite powers, whose difference may still overflow to inf; empties both lists.
+    The rows are joined as bytes, which costs less per row than stacking them."""
+    if exact:
+        with np.errstate(over="ignore"):
+            gap = np.frombuffer(b"".join(exact)) - np.frombuffer(b"".join(euler))
+        deviation = max(deviation, float(np.abs(gap, out=gap).max()))
+        exact.clear()
+        euler.clear()
+    return deviation
 
 
 def empirical_ratio(trace: IterationTrace, tol: float) -> float | None:
@@ -110,7 +132,7 @@ def empirical_ratio(trace: IterationTrace, tol: float) -> float | None:
     the rounding floor), then the first fifth of the remainder is dropped.
     Returns None when no usable ratio remains (e.g. deadbeat convergence).
     """
-    imb = [abs(st.imbalance) for st in trace.states]
+    imb = np.abs(trace.imbalance).tolist()
     floor = 10.0 * tol
     ratios = [imb[k + 1] / imb[k]
               for k in range(len(imb) - 1)
@@ -144,7 +166,7 @@ class ConvergenceReport:
 
 def _method_summary(trace: IterationTrace, tol: float, predicted: float) -> MethodConvergence:
     return MethodConvergence(
-        iterations=len(trace.states) - 1,
+        iterations=len(trace.lam) - 1,
         converged=trace.converged,
         stop_reason=trace.stop_reason,
         empirical_ratio=empirical_ratio(trace, tol),

@@ -147,6 +147,11 @@ class Scenario:
                             self.beta, self.tau, columns)
 
 
+def _row_sum(row: np.ndarray) -> float:
+    """The sum of a float64 row as the builtin ``sum`` of its floats adds them."""
+    return sum(row.tolist())
+
+
 def _read_only(col: np.ndarray) -> np.ndarray:
     col.setflags(write=False)
     return col
@@ -182,7 +187,7 @@ class Columns:
 
     def total_cost(self, p) -> float:
         """Sum of a*p**2 + b*p + c over the units, added left to right."""
-        return sum((self.a * p * p + self.b * p + self.c).tolist())
+        return _row_sum(self.a * p * p + self.b * p + self.c)
 
     def marginal(self, p) -> np.ndarray:
         """2*a*p + b per unit."""

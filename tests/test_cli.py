@@ -1,7 +1,6 @@
 """Scenario file parsing, CSV serialization, and command-line behaviour."""
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -27,7 +26,7 @@ from freqdispatch.cli import (
     serialize_scenario_file,
     write_trace_csv,
 )
-from freqdispatch.dispatch import IterState
+from freqdispatch.dispatch import IterState, IterationTrace
 from freqdispatch.model import ControllerConfig
 
 from conftest import make_scenario, reference_scenario, reference_simulation_csv, strict_json
@@ -315,12 +314,16 @@ def test_iteration_trace_csv_round_trip_bitwise(scenario_r):
 
 
 def test_iteration_trace_csv_matches_row_by_row_reference(scenario_r):
-    # a solved trace, plus states holding cells the kernel hands to format() one by one
+    # a solved trace, plus rows holding cells the kernel hands to format() one by one,
+    # built from its columns; the reference reads the rows as states
     trace = dual_ascent_solve(scenario_r, 0.4, tol=1e-9, lambda0=0.0)
-    k = len(trace.states)
-    extra = [IterState(k + i, x, (-x, 0.0), -0.0, 5e-324)
-             for i, x in enumerate([math.inf, -math.inf, math.nan, 3 / 2 ** 25, 1e300])]
-    trace = dataclasses.replace(trace, states=trace.states + tuple(extra))
+    x = np.array([math.inf, -math.inf, math.nan, 3 / 2 ** 25, 1e300])
+    trace = IterationTrace(np.concatenate([trace.lam, x]),
+                           np.concatenate([trace.p, np.column_stack([-x, np.zeros(5)])]),
+                           np.concatenate([trace.imbalance, np.full(5, -0.0)]),
+                           np.concatenate([trace.delta_f, np.full(5, 5e-324)]),
+                           trace.converged, trace.stop_reason)
+    assert trace.states[-1] == IterState(len(trace.lam) - 1, 1e300, (-1e300, 0.0), -0.0, 5e-324)
     sink = io.StringIO()
     write_trace_csv(trace, sink)
     rows = [[str(st.k)] + [format(x, ".17g") for x in (st.lam, *st.p, st.imbalance, st.delta_f)]

@@ -363,10 +363,24 @@ def _bits(st):
     return st.k, repr(st.lam), tuple(map(repr, st.p)), repr(st.imbalance), repr(st.delta_f)
 
 
-def _assert_trace_is_stepped(trace, first, step):
+def _column_bits(trace):
+    """The trace's columns, a row at a time, as ``_bits`` spells a state."""
+    return [(k, repr(lam), tuple(map(repr, p)), repr(imbalance), repr(delta_f))
+            for k, (lam, p, imbalance, delta_f) in enumerate(zip(
+                trace.lam.tolist(), trace.p.tolist(), trace.imbalance.tolist(),
+                trace.delta_f.tolist()))]
+
+
+def _assert_trace_is_stepped(trace, first, step, beta):
+    # the columns first, then the states built from them on first read
+    n = len(trace.lam)
+    assert trace.lam.shape == trace.imbalance.shape == trace.delta_f.shape == (n,)
+    assert trace.p.shape == (n, len(first.p)) and trace.p.dtype == np.float64
+    assert (-trace.imbalance / beta).tobytes() == trace.delta_f.tobytes()
     expected = [first]
-    while len(expected) < len(trace.states):
+    while len(expected) < n:
         expected.append(step(expected[-1]))
+    assert _column_bits(trace) == list(map(_bits, expected))
     assert list(map(_bits, trace.states)) == list(map(_bits, expected))
 
 
@@ -383,7 +397,7 @@ def test_dual_trace_is_the_initial_state_then_public_steps(n, share, max_iter, s
         trace = dual_ascent_solve(s, alpha, 1e-9, max_iter, lambda0)
         assert trace.stop_reason is stop
         _assert_trace_is_stepped(trace, initial_dual_state(s, lambda0),
-                                 lambda st: dual_ascent_step(st, s, alpha))
+                                 lambda st: dual_ascent_step(st, s, alpha), s.beta)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50])
@@ -399,4 +413,27 @@ def test_mom_trace_is_the_initial_state_then_public_steps(n, rho_s, max_iter, la
     trace = mom_solve(s, rho, 1e-9, max_iter, lambda0)
     assert trace.stop_reason is stop
     _assert_trace_is_stepped(trace, initial_mom_state(s, rho, lambda0),
-                             lambda st: mom_step(st, s, rho))
+                             lambda st: mom_step(st, s, rho), s.beta)
+
+
+@pytest.mark.parametrize("max_iter", [63, 64, 65, 200])
+def test_trace_rows_grow_by_doubling_up_to_max_iter_rows(max_iter):
+    # the power rows go into a buffer of 64 rows that doubles when full, but never
+    # past max_iter + 1 rows; the rows written before each growth keep their bits
+    s = _trace_scenario(3)
+    alpha = 0.01 * stability_bound_alpha(s)
+    trace = dual_ascent_solve(s, alpha, 1e-12, max_iter)
+    assert trace.stop_reason is StopReason.MAX_ITERATIONS and len(trace.lam) == max_iter + 1
+    assert trace.p.base.shape[0] == max_iter + 1
+    _assert_trace_is_stepped(trace, initial_dual_state(s), lambda st: dual_ascent_step(st, s, alpha),
+                             s.beta)
+
+
+def test_public_results_hold_python_floats():
+    # the kernel's rows are float64 arrays; what the public calls return holds floats
+    s = _trace_scenario(5)
+    st = initial_mom_state(s, 0.5)
+    for p in (analytic_dispatch(s).p, mom_inner_minimize(3.5, s, 0.5), st.p, mom_step(st, s, 0.5).p,
+              dual_ascent_step(initial_dual_state(s), s, 0.1).p,
+              dual_ascent_solve(s, 0.1).states[-1].p):
+        assert type(p) is tuple and {type(x) for x in p} == {float}

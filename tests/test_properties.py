@@ -11,7 +11,9 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,7 +49,7 @@ from freqdispatch import (
     stability_bound_alpha,
     validate_scenario,
 )
-from freqdispatch import cli
+from freqdispatch import cli, experiments
 from freqdispatch.cli import (
     ScenarioFile,
     SimulationOptions,
@@ -286,9 +288,10 @@ def equivalence_cases(draw):
             draw(st.one_of(st.none(), st.floats(-50.0, 50.0))), draw(st.integers(1, 60)))
 
 
-def _reference_equivalence(s: Scenario, pair, steps: int, lambda0) -> float:
-    """The largest power gap between the public one-step calls at alpha = rho = K/beta
-    and forward Euler at h = tau from the same start, each written out."""
+def _reference_deviations(s: Scenario, pair, steps: int, lambda0) -> list:
+    """The largest power gap after each of ``steps`` steps between the public one-step
+    calls at alpha = rho = K/beta and forward Euler at h = tau from the same start,
+    each written out; NaN from the first step at which either side is not finite."""
     coupling = s.gain_K / s.beta
     g = s.gain_K / (s.columns.two_a * s.tau)
     if pair is EquivalencePair.DUAL_VS_INTEGRAL:
@@ -300,23 +303,86 @@ def _reference_equivalence(s: Scenario, pair, steps: int, lambda0) -> float:
         g = g * (s.beta / (s.beta + s.gain_K * s.columns.slope))
     d = sum(s.loads)
     p = np.array(state.p)
-    deviation = 0.0
+    deviation, out = 0.0, []
     for _ in range(steps):
         state = step(state)
         p = p + s.tau * (g * -((sum(p.tolist()) - d) / s.beta))
-        deviation = max(deviation, *(abs(x - y) for x, y in zip(state.p, p.tolist())))
-    return deviation
+        if math.isnan(deviation) or not (math.isfinite(state.imbalance)
+                                         and math.isfinite(sum(p.tolist()))):
+            deviation = math.nan
+        else:
+            deviation = max(deviation, *(abs(x - y) for x, y in zip(state.p, p.tolist())))
+        out.append(deviation)
+    return out
+
+
+def _chunked_case(n: int, pair, steps: int):
+    """A drawn-like case of n units whose steps span several of the check's row chunks."""
+    rng = np.random.default_rng(n)
+    s = make_scenario(rng.uniform(0.1, 5.0, n), rng.uniform(0.0, 20.0, n),
+                      rng.uniform(1.0, 50.0, 2), p_init=rng.uniform(-10.0, 30.0, n),
+                      gain_K=1.3, tau=0.7)
+    assert steps > 2 * (experiments._CHUNK_CELLS // n)
+    return s.replace(beta=s.gain_K * aggregate_power_slope(s) / 0.9), pair, None, steps
 
 
 @BOUNDED
 @given(case=equivalence_cases())
 @example(case=(make_scenario([0.5, 1.0], [1.0, 2.0], [6.0, 4.0], p_init=[7.0, 3.0], beta=1.5),
                EquivalencePair.MOM_VS_PI, 0.0, 60))
+@example(case=_chunked_case(50, EquivalencePair.DUAL_VS_INTEGRAL, 500))
+@example(case=_chunked_case(50, EquivalencePair.MOM_VS_PI, 500))
+@example(case=_chunked_case(1, EquivalencePair.DUAL_VS_INTEGRAL, 20_000))
 def test_equivalence_is_the_public_steps_against_an_euler_twin_bit_for_bit(case):
     s, pair, lambda0, steps = case
-    expected = _reference_equivalence(s, pair, steps, lambda0)
+    expected = _reference_deviations(s, pair, steps, lambda0)[-1]
     assert math.isfinite(expected)
     assert check_euler_equivalence(s, pair, steps, lambda0).max_abs_deviation == expected
+
+
+def test_equivalence_overflow_in_a_later_chunk_is_nan(tmp_path, capsys):
+    # At K*S/beta = 150 dual ascent at alpha = K/beta multiplies the imbalance by
+    # about -149 a step, so the iterates overflow well past the first row chunk.
+    s, pair, _, _ = _chunked_case(100, EquivalencePair.DUAL_VS_INTEGRAL, 300)
+    s = s.replace(beta=s.gain_K * aggregate_power_slope(s) / 150.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _reference_deviations(s, pair, 300, None)
+        first = next(k for k, x in enumerate(expected, 1) if math.isnan(x))
+        assert first > 1 + experiments._CHUNK_CELLS // 100
+        for steps in (first - 1, first, 300):
+            got = check_euler_equivalence(s, pair, steps).max_abs_deviation
+            assert repr(got) == repr(expected[steps - 1])
+    path = tmp_path / "diverging.json"
+    path.write_text(serialize_scenario_file(ScenarioFile(1, s)))
+    for steps, code in ((first - 1, 0), (first, 3), (300, 3)):
+        assert run_command(["equivalence", str(path), "--pair", pair.value,
+                            "--steps", str(steps)]) == code
+        deviation = strict_json(capsys.readouterr().out)["max_abs_deviation"]
+        assert deviation == (None if code else expected[steps - 1])
+
+
+def test_equivalence_fold_takes_an_overflowing_gap_as_inf():
+    # finite rows whose difference overflows, outside the command line's errstate
+    # and under the suite's warnings-as-errors filter
+    exact, euler = [np.array([1e308, 0.0])], [np.array([-1e308, 0.0])]
+    assert experiments._fold(1.0, exact, euler) == math.inf and exact == euler == []
+
+
+def test_equivalence_memory_does_not_grow_with_steps():
+    # 2,000 steps of 1,000 units: 16 MB a side if every row were kept, a few
+    # 128 KiB row chunks (both sides) as folded
+    rng = np.random.default_rng(1000)
+    s = make_scenario(rng.uniform(0.1, 5.0, 1000), rng.uniform(0.0, 20.0, 1000), [3e4])
+    s = s.replace(beta=s.gain_K * aggregate_power_slope(s) / 0.8)
+    s.columns  # noqa: B018, built before tracing
+    tracemalloc.start()
+    try:
+        report = check_euler_equivalence(s, EquivalencePair.DUAL_VS_INTEGRAL, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.max_abs_deviation <= 1e-9
+    assert peak < 4 * 2 * 8 * experiments._CHUNK_CELLS
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +630,56 @@ _KERNEL_CASES = [
 def test_csv_kernel_matches_format_on_listed_cases(sign, cols):
     values = [sign * x for x in _KERNEL_CASES]
     _kernel_matches_format(values + [0.0] * (-len(values) % cols), cols)
+
+
+def _reference_csv_tables() -> dict:
+    """Every table of the CSV kernel written out entry by entry: the powers of ten
+    with ``Fraction``, the digit groups and byte layouts from their text."""
+    exps = range(-282, 282)
+    tens = [Fraction(10) ** (16 - e) for e in exps]
+    hi = [float(x) for x in tens]
+    split = 134217729.0
+
+    def last(i):  # the index of the last nonzero digit of the group, -64 for "0000"
+        return max([j for j, c in enumerate(f"{i:04d}") if c != "0"], default=-64)
+
+    def exponent(e):  # bytes 1-5 of word 3: "e+XX" with a NUL for the hundreds, or "e+XXX"
+        if -4 <= e < 17:
+            return 0
+        text = f"e{'-' if e < 0 else '+'}{abs(e) // 100 or chr(0)}{abs(e) % 100:02d}"
+        return int.from_bytes(b"\0" + text.encode(), "little")
+
+    def words(values, count):
+        return [[v >> 64 * i & 2 ** 64 - 1 for v in values] for i in range(count)]
+
+    u8 = np.uint64
+    return {
+        "hi": np.array(hi), "hh": np.array([h * split - (h * split - h) for h in hi]),
+        "lo": np.array([float(x - Fraction(h)) for x, h in zip(tens, hi)]),
+        "quad": np.array([int.from_bytes(f"{i:04d}".encode(), "little") for i in range(10000)], u8),
+        "z": np.array([[last(i) + 1 + 4 * r for i in range(10000)] for r in range(4)], np.int8),
+        "q": np.array([(16 if e < 0 else e) if -4 <= e < 17 else 0 for e in exps]),
+        "kp": np.array([e if 0 <= e < 17 else 0 for e in exps]),
+        "prefix": np.array([int.from_bytes(b"\0" + b"0." + b"0" * (-e - 1), "little")
+                            if -4 <= e < 0 else 0 for e in exps], u8),
+        "exp": np.array([exponent(e) for e in exps], u8),
+        "d0": np.array([(48 + d) << 48 for d in range(10)], u8),
+        "sign": np.array([0, ord("-")], u8),
+        "sep": np.array([ord(",") << 48, ord("\n") << 48], u8),
+        "low": np.array(words([(1 << 8 * q) - 1 for q in range(17)], 2), u8),
+        "dot": np.array(words([ord(".") << 8 * q if q < 16 else 0 for q in range(17)], 2), u8),
+        "keep": np.array(words([(1 << 8 * c) - 1 | (1 << 192) - (1 << 136) for c in range(18)], 3),
+                         u8),
+    }
+
+
+def test_csv_tables_match_an_exact_reference():
+    tables, reference = cli._csv_tables(), _reference_csv_tables()
+    assert tables.keys() == reference.keys()
+    for name, want in reference.items():
+        got = tables[name]
+        assert (got.dtype, got.shape, got.flags.writeable) == (want.dtype, want.shape, False), name
+        assert got.tobytes() == want.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import freqdispatch.dispatch as dispatch
 import freqdispatch.dynamics as dynamics
 import freqdispatch.experiments as experiments
 import freqdispatch.model as model
@@ -112,6 +113,36 @@ def test_equivalence_computes_gains_once_per_run(monkeypatch, pair):
     report = check_euler_equivalence(s, pair, steps=50, lambda0=0.0)
     assert report.max_abs_deviation <= 1e-9
     assert builds == [2]
+
+
+def test_solvers_build_no_states_unless_read(monkeypatch, tmp_path, capsys):
+    # A trace is columns; its IterStates are built only when .states is read.
+    built = []
+    original = dispatch.IterState
+
+    def counting(*fields):
+        built.append(fields[0])
+        return original(*fields)
+
+    monkeypatch.setattr(dispatch, "IterState", counting)
+    s = _random_fleet(np.random.default_rng(21), 5)
+    coupling = 0.5 / aggregate_power_slope(s)
+    traces = [dual_ascent_solve(s, coupling), mom_solve(s, coupling)]
+    for param in ("alpha", "rho", "K"):
+        sweep(s, param, [coupling, 2.0 * coupling], max_iter=50)
+    compare_convergence(s, coupling, coupling)
+    for pair in EquivalencePair:
+        check_euler_equivalence(s, pair, 20)
+    path = tmp_path / "s.json"
+    path.write_text(serialize_scenario_file(ScenarioFile(1, s)))
+    for method in ("dual", "mom"):
+        assert run_command(["iterate", str(path), "--method", method,
+                            "--out-csv", str(tmp_path / "trace.csv")]) == 0
+    capsys.readouterr()
+    assert built == []
+    for trace in traces:
+        assert len(trace.states) == len(trace.lam) and trace.states is trace.states
+    assert built == [*range(len(traces[0].lam)), *range(len(traces[1].lam))]
 
 
 @pytest.mark.parametrize("controller", ["integral", "pi"])
