@@ -686,7 +686,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("equivalence", help="discrete iteration vs Euler-integrated controller")
     p.add_argument("file")
     p.add_argument("--pair", required=True, choices=["dual-integral", "mom-pi"])
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=int, default=200,
+                   help="steps to compare; the check stops early, with the same report, "
+                        "once both runs repeat a joint state, so its cost is bounded by "
+                        "where that cycle starts, not by --steps")
     p.add_argument("--lambda0", type=float)
 
     return parser

@@ -56,7 +56,8 @@ MAX_GRID_POINTS = 1_000_000
 # cap is lower.
 MAX_GRID_POINTS_N4 = 8_001
 
-# Rows of a solver trace's first power buffer; it doubles when full.
+# Rows of a solver trace's first power buffer where no tolerance stop is predicted;
+# a full buffer doubles.
 _FIRST_ROWS = 64
 
 
@@ -299,9 +300,12 @@ def dual_contraction_factor(s: Scenario, alpha: float) -> float:
 
 
 def _run_iteration(s: Scenario, power: Callable[[float], np.ndarray], coupling: float,
-                   lambda0: float | None, tol: float, max_iter: int) -> IterationTrace:
+                   ratio: float, lambda0: float | None, tol: float,
+                   max_iter: int) -> IterationTrace:
     """The ``_iterates`` states up to the stop, each power row written into a float64
-    buffer whose row count doubles as it fills, up to max_iter + 1 rows."""
+    buffer, up to max_iter + 1 rows. The first buffer holds the rows up to the stop
+    that the contraction ``ratio`` predicts; past it the row count doubles as it
+    fills. At the stop the buffer shrinks in place to the rows used."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if max_iter < 1:
@@ -309,10 +313,11 @@ def _run_iteration(s: Scenario, power: Callable[[float], np.ndarray], coupling: 
     guard = DIVERGENCE_FACTOR * max(abs(total_load(s)), 1.0)
 
     lams, imbalances = [], []
-    rows = np.empty((min(max_iter + 1, _FIRST_ROWS), len(s.columns.a)))
+    rows = np.empty((0, len(s.columns.a)))
     for k, (lam, p, imbalance) in enumerate(_iterates(s, power, coupling, lambda0)):
         if k == len(rows):
-            rows = np.concatenate((rows, np.empty((min(k, max_iter + 1 - k), rows.shape[1]))))
+            more = k or _predicted_rows(imbalance, ratio, tol)
+            rows = np.concatenate((rows, np.empty((min(more, max_iter + 1 - k), rows.shape[1]))))
         rows[k] = p
         lams.append(lam)
         imbalances.append(imbalance)
@@ -324,9 +329,18 @@ def _run_iteration(s: Scenario, power: Callable[[float], np.ndarray], coupling: 
             stop = StopReason.MAX_ITERATIONS
         else:
             continue
+        rows.resize((k + 1, rows.shape[1]), refcheck=False)  # no view of rows exists
         column = np.array(imbalances)
-        return IterationTrace(np.array(lams), rows[:k + 1], column, -column / s.beta,
+        return IterationTrace(np.array(lams), rows, column, -column / s.beta,
                               stop is StopReason.TOLERANCE, stop)
+
+
+def _predicted_rows(imbalance: float, ratio: float, tol: float) -> int:
+    """Rows up to the first k with |imbalance| * ratio**k < tol, and one spare for
+    rounding; _FIRST_ROWS where the run stops at once or the ratio is not in (0, 1)."""
+    if not (0.0 < ratio < 1.0 and tol <= abs(imbalance) < math.inf):
+        return _FIRST_ROWS
+    return math.floor((math.log(tol) - math.log(abs(imbalance))) / math.log(ratio)) + 3
 
 
 def dual_ascent_solve(s: Scenario, alpha: float, tol: float = 1e-6,
@@ -340,7 +354,8 @@ def dual_ascent_solve(s: Scenario, alpha: float, tol: float = 1e-6,
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    return _run_iteration(s, _dual_power(s), alpha, lambda0, tol, max_iter)
+    return _run_iteration(s, _dual_power(s), alpha, dual_contraction_factor(s, alpha),
+                          lambda0, tol, max_iter)
 
 
 def mom_inner_minimize(lam: float, s: Scenario, rho: float) -> tuple[float, ...]:
@@ -378,7 +393,8 @@ def mom_solve(s: Scenario, rho: float, tol: float = 1e-6, max_iter: int = 10000,
     """Iterate mom_step until |imbalance| < tol; same semantics as dual_ascent_solve."""
     if rho <= 0:
         raise ValueError("rho must be > 0")
-    return _run_iteration(s, _mom_power(s, rho), rho, lambda0, tol, max_iter)
+    return _run_iteration(s, _mom_power(s, rho), rho, mom_contraction_factor(s, rho),
+                          lambda0, tol, max_iter)
 
 
 def mom_contraction_factor(s: Scenario, rho: float) -> float:

@@ -7,6 +7,7 @@ reports.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -80,6 +81,15 @@ def check_euler_equivalence(s: Scenario, pair: EquivalencePair, steps: int,
     only, or NaN once either side overflows. Each side's power rows go into a
     buffer of a fixed number of cells, and each full buffer is folded into the
     deviation at once, so the memory used does not grow with ``steps``.
+
+    Both sides contract onto the same dispatch, so in floating point the joint
+    state (price, imbalance, Euler powers) soon settles on a fixed point or a
+    short cycle. The next state is a function of that state alone, so once it
+    repeats, bit for bit, every later row pair repeats one already folded in,
+    and the loop stops there with the report it would give after ``steps``.
+    Repeats are found by Brent's method, against the state held at the last
+    power-of-two step, so the cost is bounded by where the cycle starts and its
+    length, not by ``steps``. A run that overflows never repeats.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -98,8 +108,8 @@ def check_euler_equivalence(s: Scenario, pair: EquivalencePair, steps: int,
     iterates = _iterates(s, power, coupling, lambda0)
     _, p, _ = next(iterates)
     total, rows = _row_sum(p), max(1, _CHUNK_CELLS // len(p))
-    exact, euler, deviation = [], [], 0.0
-    for _, row, imbalance in islice(iterates, steps):
+    exact, euler, deviation, seen = [], [], 0.0, (None, None, b"")
+    for t, (lam, row, imbalance) in enumerate(islice(iterates, steps), 1):
         p = p + tau * (g * -((total - d) / beta))  # Euler at h = tau
         total = _row_sum(p)
         if not (isfinite(imbalance) and isfinite(total)):  # else a term overflowed
@@ -108,7 +118,17 @@ def check_euler_equivalence(s: Scenario, pair: EquivalencePair, steps: int,
         euler.append(p)
         if len(exact) == rows:
             deviation = _fold(deviation, exact, euler)
+        if lam == seen[0] and imbalance == seen[1] and _bits(lam, imbalance, p) == seen[2]:
+            break  # a repeat: every later row pair is one already taken
+        if t & (t - 1) == 0:  # Brent: hold the state of each power-of-two step
+            seen = lam, imbalance, _bits(lam, imbalance, p)
     return EquivalenceReport(pair, _fold(deviation, exact, euler), steps)
+
+
+def _bits(lam: float, imbalance: float, p: np.ndarray) -> bytes:
+    """The joint state as bytes, so that equal bytes mean the same state, -0.0 apart
+    from 0.0."""
+    return struct.pack("2d", lam, imbalance) + p.tobytes()
 
 
 def _fold(deviation: float, exact: list, euler: list) -> float:

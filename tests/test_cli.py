@@ -554,6 +554,19 @@ def test_cmd_equivalence(scenario_file, capsys):
     assert payload["steps"] == 100
 
 
+@pytest.mark.parametrize("pair", ["dual-integral", "mom-pi"])
+def test_cmd_equivalence_ten_million_steps_prints_the_200_step_deviation(scenario_file, capsys,
+                                                                        pair):
+    # the check stops at the first repeat of its joint state, long before 10**7 steps
+    outputs = []
+    for steps in ("200", "10000000"):
+        assert run_command(["equivalence", scenario_file, "--pair", pair,
+                            "--lambda0", "-20", "--steps", steps]) == 0
+        outputs.append(strict_json(capsys.readouterr().out))
+    short, long = outputs
+    assert long == {**short, "steps": 10_000_000}
+
+
 @pytest.mark.parametrize("steps,deviation,code", [
     (141, 3.4927205416857597e+292, 0),  # the last step before the iterates overflow
     (142, None, 3),

@@ -417,16 +417,47 @@ def test_mom_trace_is_the_initial_state_then_public_steps(n, rho_s, max_iter, la
 
 
 @pytest.mark.parametrize("max_iter", [63, 64, 65, 200])
-def test_trace_rows_grow_by_doubling_up_to_max_iter_rows(max_iter):
-    # the power rows go into a buffer of 64 rows that doubles when full, but never
-    # past max_iter + 1 rows; the rows written before each growth keep their bits
+def test_trace_rows_grow_by_doubling_up_to_max_iter_rows(max_iter, monkeypatch):
+    # with no tolerance stop predicted, the power rows go into a buffer of 64 rows
+    # that doubles when full, but never past max_iter + 1 rows; the rows written
+    # before each growth keep their bits
+    monkeypatch.setattr(dispatch, "_predicted_rows", lambda *_: dispatch._FIRST_ROWS)
     s = _trace_scenario(3)
     alpha = 0.01 * stability_bound_alpha(s)
     trace = dual_ascent_solve(s, alpha, 1e-12, max_iter)
     assert trace.stop_reason is StopReason.MAX_ITERATIONS and len(trace.lam) == max_iter + 1
-    assert trace.p.base.shape[0] == max_iter + 1
+    assert trace.p.base is None and trace.p.shape[0] == max_iter + 1
     _assert_trace_is_stepped(trace, initial_dual_state(s), lambda st: dual_ascent_step(st, s, alpha),
                              s.beta)
+
+
+@pytest.mark.parametrize("first_rows", [None, 4], ids=["predicted", "doubled"])
+@pytest.mark.parametrize("method", ["dual", "mom"])
+def test_trace_owns_exactly_its_rows(method, first_rows, monkeypatch):
+    # The first buffer holds the rows up to the predicted tolerance stop; a stop
+    # past it (forced here by a 4-row first buffer) comes after doublings. Either
+    # way the trace's power rows own no spare buffer rows, and keep their bits.
+    s = _trace_scenario(50)
+    if method == "dual":
+        solve, step = dual_ascent_solve, 0.7 * stability_bound_alpha(s)
+    else:
+        solve, step = mom_solve, 0.8 / aggregate_power_slope(s)
+    expected = solve(s, step, 1e-9)
+    predicted, predict = [], dispatch._predicted_rows
+
+    def first_buffer_rows(*args):
+        predicted.append(first_rows or predict(*args))
+        return predicted[-1]
+
+    monkeypatch.setattr(dispatch, "_predicted_rows", first_buffer_rows)
+    trace = solve(s, step, 1e-9)
+    assert trace.stop_reason is StopReason.TOLERANCE and len(predicted) == 1
+    if first_rows is None:
+        assert len(trace.lam) <= predicted[0]
+    else:
+        assert len(trace.lam) > 2 * first_rows
+    assert trace.p.base is None or len(trace.p.base) == len(trace.lam)
+    assert trace.p.shape == expected.p.shape and trace.p.tobytes() == expected.p.tobytes()
 
 
 def test_public_results_hold_python_floats():

@@ -62,8 +62,8 @@ from freqdispatch.cli import (
 from freqdispatch.dynamics import MAX_TRACE_CELLS
 from freqdispatch.model import Columns, Violation
 
-from conftest import (economic_start, make_scenario, reference_simulation_csv, rk4_trace,
-                      strict_json)
+from conftest import (economic_start, make_scenario, reference_scenario,
+                      reference_simulation_csv, rk4_trace, strict_json)
 
 INTEGRAL = ControllerKind.INTEGRAL
 PI = ControllerKind.PROPORTIONAL_INTEGRAL
@@ -277,15 +277,16 @@ def test_dual_and_mom_converge_to_the_closed_form(case):
 
 @st.composite
 def equivalence_cases(draw):
-    """N in 1..50, either pair, a drawn or the default lambda0, and 1..60 steps; beta is
-    K*S over a share in [0.05, 1.95], so that dual ascent at alpha = K/beta converges."""
+    """N in 1..50, either pair, a drawn or the default lambda0, and 1..400 steps, enough
+    for most runs to reach the repeat of the joint state at which the check stops; beta
+    is K*S over a share in [0.05, 1.95], so that dual ascent at alpha = K/beta converges."""
     n = draw(st.integers(1, 50))
     s = make_scenario(draw(_floats(0.1, 5.0, n)), draw(_floats(0.0, 20.0, n)),
                       draw(_floats(1.0, 50.0, 2)), p_init=draw(_floats(-10.0, 30.0, n)),
                       gain_K=draw(st.floats(0.2, 5.0)), tau=draw(st.floats(0.2, 5.0)))
     s = s.replace(beta=s.gain_K * aggregate_power_slope(s) / draw(st.floats(0.05, 1.95)))
     return (s, draw(st.sampled_from(list(EquivalencePair))),
-            draw(st.one_of(st.none(), st.floats(-50.0, 50.0))), draw(st.integers(1, 60)))
+            draw(st.one_of(st.none(), st.floats(-50.0, 50.0))), draw(st.integers(1, 400)))
 
 
 def _reference_deviations(s: Scenario, pair, steps: int, lambda0) -> list:
@@ -316,14 +317,37 @@ def _reference_deviations(s: Scenario, pair, steps: int, lambda0) -> list:
     return out
 
 
-def _chunked_case(n: int, pair, steps: int):
-    """A drawn-like case of n units whose steps span several of the check's row chunks."""
+def _seeded_case(n: int, pair, steps: int):
+    """A drawn-like case of n units, seeded by n."""
     rng = np.random.default_rng(n)
     s = make_scenario(rng.uniform(0.1, 5.0, n), rng.uniform(0.0, 20.0, n),
                       rng.uniform(1.0, 50.0, 2), p_init=rng.uniform(-10.0, 30.0, n),
                       gain_K=1.3, tau=0.7)
-    assert steps > 2 * (experiments._CHUNK_CELLS // n)
     return s.replace(beta=s.gain_K * aggregate_power_slope(s) / 0.9), pair, None, steps
+
+
+def _chunked_case(n: int, pair, steps: int):
+    """A drawn-like case of n units whose steps span several of the check's row chunks."""
+    assert steps > 2 * (experiments._CHUNK_CELLS // n)
+    return _seeded_case(n, pair, steps)
+
+
+def _period_two_case():
+    """Two units whose dual price and imbalance, and so the joint state, settle on a
+    cycle of period 2 at step 9."""
+    s = make_scenario([4.38, 2.41], [18.3, 15.3], [45.9, 7.2], p_init=[-7.1, -7.2],
+                      gain_K=4.37, tau=3.24)
+    s = s.replace(beta=s.gain_K * aggregate_power_slope(s) / 0.99)
+    return s, EquivalencePair.DUAL_VS_INTEGRAL, None, 100
+
+
+def _euler_drift_case():
+    """Four units whose MoM price and imbalance repeat while the Euler powers still
+    move, and move the deviation."""
+    s = make_scenario([2.6, 4.0, 3.12, 0.65], [3.3, 4.7, 19.1, 2.4], [16.4, 21.5],
+                      p_init=[12.9, -8.0, 9.3, -1.7], gain_K=4.94, tau=1.85)
+    s = s.replace(beta=s.gain_K * aggregate_power_slope(s) / 0.37)
+    return s, EquivalencePair.MOM_VS_PI, -4.8, 400
 
 
 @BOUNDED
@@ -333,11 +357,44 @@ def _chunked_case(n: int, pair, steps: int):
 @example(case=_chunked_case(50, EquivalencePair.DUAL_VS_INTEGRAL, 500))
 @example(case=_chunked_case(50, EquivalencePair.MOM_VS_PI, 500))
 @example(case=_chunked_case(1, EquivalencePair.DUAL_VS_INTEGRAL, 20_000))
+@example(case=_seeded_case(2, EquivalencePair.MOM_VS_PI, 20_000))
+@example(case=_seeded_case(9, EquivalencePair.MOM_VS_PI, 600))  # numpy's pairwise sum
+@example(case=_period_two_case())
+@example(case=_euler_drift_case())
+@example(case=(make_scenario([0.5, 1.0], [0.0, 0.0], [6.0, 4.0], beta=1.5),
+               EquivalencePair.MOM_VS_PI, 0.0, 100))  # zero offsets and a zero start
+@example(case=(make_scenario([0.5, 1.0], [0.0, 0.0], [0.0], beta=1.5),
+               EquivalencePair.DUAL_VS_INTEGRAL, -0.0, 50))  # -0.0 Euler rows, 0.0 exact ones
 def test_equivalence_is_the_public_steps_against_an_euler_twin_bit_for_bit(case):
     s, pair, lambda0, steps = case
     expected = _reference_deviations(s, pair, steps, lambda0)[-1]
     assert math.isfinite(expected)
     assert check_euler_equivalence(s, pair, steps, lambda0).max_abs_deviation == expected
+
+
+@pytest.mark.parametrize("case", [
+    *((reference_scenario(), pair, lambda0, 200)
+      for pair in EquivalencePair for lambda0 in (0.0, -20.0)),
+    _period_two_case(),
+    _seeded_case(9, EquivalencePair.MOM_VS_PI, 600),  # a cycle of period 2 from step 57
+])
+def test_equivalence_stops_at_the_first_repeat(case, monkeypatch):
+    # Both sides settle on a rounding fixed point or a short cycle within about 60
+    # steps here, so a run of 10**7 steps draws few states and reports the deviation
+    # of a run that ends past the cycle's start.
+    s, pair, lambda0, steps = case
+    drawn, kernel = [0], experiments._iterates
+
+    def counted(*args):
+        for state in kernel(*args):
+            drawn[0] += 1
+            yield state
+
+    short = check_euler_equivalence(s, pair, steps, lambda0)
+    monkeypatch.setattr(experiments, "_iterates", counted)
+    report = check_euler_equivalence(s, pair, 10 ** 7, lambda0)
+    assert 0 < drawn[0] < 1000
+    assert report == dataclasses.replace(short, steps=10 ** 7)
 
 
 def test_equivalence_overflow_in_a_later_chunk_is_nan(tmp_path, capsys):
