@@ -757,7 +757,7 @@ def _cmd_iterate(args) -> int:
         "stop_reason": trace.stop_reason,
         "iterations": len(trace.lam) - 1,
         "lambda": float(trace.lam[-1]),
-        "p": trace.p[-1].tolist(),
+        "p": trace.power(trace.lam[-1]).tolist(),  # the one row it prints, built alone
         "imbalance": float(trace.imbalance[-1]),
         "delta_f": float(trace.delta_f[-1]),
         "empirical_ratio": empirical_ratio(trace, opts.tol),

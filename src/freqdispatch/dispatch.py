@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterator
@@ -56,10 +56,6 @@ MAX_GRID_POINTS = 1_000_000
 # cap is lower.
 MAX_GRID_POINTS_N4 = 8_001
 
-# Rows of a solver trace's first power buffer where no tolerance stop is predicted;
-# a full buffer doubles.
-_FIRST_ROWS = 64
-
 
 class StopReason(Enum):
     TOLERANCE = "tolerance"
@@ -86,19 +82,27 @@ class IterState:
 
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
-    """Every state visited by a solver run, as float64 columns, plus why it stopped.
+    """Every price visited by a solver run, as float64 columns, plus why it stopped.
 
-    Row ``k`` is state ``k``: ``lam`` (n+1,), ``p`` (n+1, N), ``imbalance``
-    (n+1,) and ``delta_f`` (n+1,) = -imbalance/beta. ``states`` lists the rows
-    as ``IterState``s, built on first read.
+    Row ``k`` is state ``k``: ``lam`` (n+1,), ``imbalance`` (n+1,) and ``delta_f``
+    (n+1,) = -imbalance/beta. ``power`` is the solver's price -> powers map: ``p``
+    (n+1, N) fills row ``k`` with ``power(lam[k])`` on first read, bit for bit the
+    run's row, and ``states`` lists the rows as ``IterState``s, also on first read.
     """
 
     lam: np.ndarray
-    p: np.ndarray
     imbalance: np.ndarray
     delta_f: np.ndarray
     converged: bool
     stop_reason: StopReason
+    power: Callable[[float], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        rows = map(self.power, self.lam.tolist())
+        first = next(rows)
+        return np.fromiter(itertools.chain((first,), rows), (np.float64, first.shape),
+                           len(self.lam))
 
     @cached_property
     def states(self) -> tuple[IterState, ...]:
@@ -300,12 +304,9 @@ def dual_contraction_factor(s: Scenario, alpha: float) -> float:
 
 
 def _run_iteration(s: Scenario, power: Callable[[float], np.ndarray], coupling: float,
-                   ratio: float, lambda0: float | None, tol: float,
-                   max_iter: int) -> IterationTrace:
-    """The ``_iterates`` states up to the stop, each power row written into a float64
-    buffer, up to max_iter + 1 rows. The first buffer holds the rows up to the stop
-    that the contraction ``ratio`` predicts; past it the row count doubles as it
-    fills. At the stop the buffer shrinks in place to the rows used."""
+                   lambda0: float | None, tol: float, max_iter: int) -> IterationTrace:
+    """The ``_iterates`` prices and imbalances up to the stop, at most max_iter + 1 of
+    each. No power row is kept: the trace holds ``power`` and derives them on read."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if max_iter < 1:
@@ -313,12 +314,7 @@ def _run_iteration(s: Scenario, power: Callable[[float], np.ndarray], coupling: 
     guard = DIVERGENCE_FACTOR * max(abs(total_load(s)), 1.0)
 
     lams, imbalances = [], []
-    rows = np.empty((0, len(s.columns.a)))
-    for k, (lam, p, imbalance) in enumerate(_iterates(s, power, coupling, lambda0)):
-        if k == len(rows):
-            more = k or _predicted_rows(imbalance, ratio, tol)
-            rows = np.concatenate((rows, np.empty((min(more, max_iter + 1 - k), rows.shape[1]))))
-        rows[k] = p
+    for k, (lam, _, imbalance) in enumerate(_iterates(s, power, coupling, lambda0)):
         lams.append(lam)
         imbalances.append(imbalance)
         if not math.isfinite(imbalance) or abs(imbalance) > guard:
@@ -329,18 +325,9 @@ def _run_iteration(s: Scenario, power: Callable[[float], np.ndarray], coupling: 
             stop = StopReason.MAX_ITERATIONS
         else:
             continue
-        rows.resize((k + 1, rows.shape[1]), refcheck=False)  # no view of rows exists
         column = np.array(imbalances)
-        return IterationTrace(np.array(lams), rows, column, -column / s.beta,
-                              stop is StopReason.TOLERANCE, stop)
-
-
-def _predicted_rows(imbalance: float, ratio: float, tol: float) -> int:
-    """Rows up to the first k with |imbalance| * ratio**k < tol, and one spare for
-    rounding; _FIRST_ROWS where the run stops at once or the ratio is not in (0, 1)."""
-    if not (0.0 < ratio < 1.0 and tol <= abs(imbalance) < math.inf):
-        return _FIRST_ROWS
-    return math.floor((math.log(tol) - math.log(abs(imbalance))) / math.log(ratio)) + 3
+        return IterationTrace(np.array(lams), column, -column / s.beta,
+                              stop is StopReason.TOLERANCE, stop, power)
 
 
 def dual_ascent_solve(s: Scenario, alpha: float, tol: float = 1e-6,
@@ -354,8 +341,7 @@ def dual_ascent_solve(s: Scenario, alpha: float, tol: float = 1e-6,
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    return _run_iteration(s, _dual_power(s), alpha, dual_contraction_factor(s, alpha),
-                          lambda0, tol, max_iter)
+    return _run_iteration(s, _dual_power(s), alpha, lambda0, tol, max_iter)
 
 
 def mom_inner_minimize(lam: float, s: Scenario, rho: float) -> tuple[float, ...]:
@@ -393,8 +379,7 @@ def mom_solve(s: Scenario, rho: float, tol: float = 1e-6, max_iter: int = 10000,
     """Iterate mom_step until |imbalance| < tol; same semantics as dual_ascent_solve."""
     if rho <= 0:
         raise ValueError("rho must be > 0")
-    return _run_iteration(s, _mom_power(s, rho), rho, mom_contraction_factor(s, rho),
-                          lambda0, tol, max_iter)
+    return _run_iteration(s, _mom_power(s, rho), rho, lambda0, tol, max_iter)
 
 
 def mom_contraction_factor(s: Scenario, rho: float) -> float:

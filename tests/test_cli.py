@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,27 @@ def _fleet_payload(n=1000) -> dict:
                          "beta": 2.0, "tau": 1.0}}
 
 
+@pytest.mark.parametrize("argv", [
+    ["iterate", "--method", "dual", "--alpha", "1e-6"],
+    ["compare", "--alpha", "1e-6", "--rho", "1e-5"],
+    ["sweep", "--param", "alpha", "--values", "1e-6", "2e-6"],
+], ids=lambda argv: argv[0])
+def test_commands_without_a_trace_csv_keep_no_power_rows(tmp_path, capsys, argv):
+    # At N = 2,000 and these slow steps each run stops at the file's max_iter, 500,
+    # and its 501 power rows would take 8 MB. These commands print at most the last
+    # row, so none of them may keep the rows.
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps({**_fleet_payload(2000), "solver": {"max_iter": 500}}))
+    tracemalloc.start()
+    try:
+        code = run_command([argv[0], str(path), *argv[1:]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "max_iterations" in capsys.readouterr().out
+    assert peak < 8_000_000, peak
+
+
 def _put(*keys, value):
     def mutate(gens, i):
         entry = gens[i]
@@ -314,15 +336,16 @@ def test_iteration_trace_csv_round_trip_bitwise(scenario_r):
 
 
 def test_iteration_trace_csv_matches_row_by_row_reference(scenario_r):
-    # a solved trace, plus rows holding cells the kernel hands to format() one by one,
-    # built from its columns; the reference reads the rows as states
+    # a solved trace's columns, plus rows holding cells the kernel hands to format()
+    # one by one, with powers p = (-lam, 0); the reference reads the rows as states
     trace = dual_ascent_solve(scenario_r, 0.4, tol=1e-9, lambda0=0.0)
     x = np.array([math.inf, -math.inf, math.nan, 3 / 2 ** 25, 1e300])
     trace = IterationTrace(np.concatenate([trace.lam, x]),
-                           np.concatenate([trace.p, np.column_stack([-x, np.zeros(5)])]),
                            np.concatenate([trace.imbalance, np.full(5, -0.0)]),
                            np.concatenate([trace.delta_f, np.full(5, 5e-324)]),
-                           trace.converged, trace.stop_reason)
+                           trace.converged, trace.stop_reason,
+                           power=lambda lam: np.array([-lam, 0.0]))
+    assert trace.p[-5:].tobytes() == np.column_stack([-x, np.zeros(5)]).tobytes()
     assert trace.states[-1] == IterState(len(trace.lam) - 1, 1e300, (-1e300, 0.0), -0.0, 5e-324)
     sink = io.StringIO()
     write_trace_csv(trace, sink)
@@ -330,6 +353,31 @@ def test_iteration_trace_csv_matches_row_by_row_reference(scenario_r):
             for st in trace.states]
     assert sink.getvalue() == "".join(",".join(row) + "\n" for row in
                                       [["k", "lambda", "p_1", "p_2", "imbalance", "delta_f"], *rows])
+
+
+@pytest.mark.parametrize("method", ["dual", "mom"])
+@pytest.mark.parametrize("n", [2, 50], ids=["reference", "fleet-50"])
+def test_iterate_summary_powers_are_the_last_csv_row(tmp_path, capsys, monkeypatch, method, n):
+    # the summary derives its powers from the last price alone; the CSV reads the
+    # trace's rows, derived from every price; both are the run's last row
+    path = tmp_path / "scenario.json"
+    path.write_text(reference_text() if n == 2 else
+                    json.dumps({**_fleet_payload(n), "solver": {"alpha": 0.05}}))
+    name = {"dual": "dual_ascent_solve", "mom": "mom_solve"}[method]
+    solve, traces = getattr(cli, name), []
+
+    def recorded(*args):
+        traces.append(solve(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, name, recorded)
+    out_csv = tmp_path / "iter.csv"
+    assert run_command(["iterate", str(path), "--method", method, "--out-csv", str(out_csv)]) == 0
+    summary = strict_json(capsys.readouterr().out)
+    (trace,) = traces
+    assert summary["converged"] is True and len(summary["p"]) == n
+    last = list(csv.reader(io.StringIO(out_csv.read_text())))[-1]
+    assert [float(x) for x in last[2:2 + n]] == summary["p"] == trace.p[-1].tolist()
 
 
 def test_simulation_trace_csv_columns(scenario_r):

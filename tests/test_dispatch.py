@@ -372,14 +372,18 @@ def _column_bits(trace):
 
 
 def _assert_trace_is_stepped(trace, first, step, beta):
-    # the columns first, then the states built from them on first read
+    # the columns first, then the power rows derived from the prices and the
+    # states built from them, both on first read
     n = len(trace.lam)
+    assert "p" not in vars(trace)  # a solver run keeps no power row
     assert trace.lam.shape == trace.imbalance.shape == trace.delta_f.shape == (n,)
     assert trace.p.shape == (n, len(first.p)) and trace.p.dtype == np.float64
+    assert trace.p is trace.p
     assert (-trace.imbalance / beta).tobytes() == trace.delta_f.tobytes()
     expected = [first]
     while len(expected) < n:
         expected.append(step(expected[-1]))
+    assert trace.p.tobytes() == np.array([st.p for st in expected]).tobytes()
     assert _column_bits(trace) == list(map(_bits, expected))
     assert list(map(_bits, trace.states)) == list(map(_bits, expected))
 
@@ -389,6 +393,11 @@ def _assert_trace_is_stepped(trace, first, step, beta):
     (0.7, 10000, StopReason.TOLERANCE),
     (0.05, 5, StopReason.MAX_ITERATIONS),
     (1.3, 10000, StopReason.DIVERGED),  # alpha past 2/S
+    # a slow run stopped by max_iter, at and around a power of two: max_iter + 1 rows
+    (0.01, 63, StopReason.MAX_ITERATIONS),
+    (0.01, 64, StopReason.MAX_ITERATIONS),
+    (0.01, 65, StopReason.MAX_ITERATIONS),
+    (0.01, 200, StopReason.MAX_ITERATIONS),
 ])
 def test_dual_trace_is_the_initial_state_then_public_steps(n, share, max_iter, stop):
     s = _trace_scenario(n)
@@ -396,6 +405,8 @@ def test_dual_trace_is_the_initial_state_then_public_steps(n, share, max_iter, s
     for lambda0 in (None, 3.5):
         trace = dual_ascent_solve(s, alpha, 1e-9, max_iter, lambda0)
         assert trace.stop_reason is stop
+        if stop is StopReason.MAX_ITERATIONS:
+            assert len(trace.lam) == max_iter + 1
         _assert_trace_is_stepped(trace, initial_dual_state(s, lambda0),
                                  lambda st: dual_ascent_step(st, s, alpha), s.beta)
 
@@ -414,50 +425,6 @@ def test_mom_trace_is_the_initial_state_then_public_steps(n, rho_s, max_iter, la
     assert trace.stop_reason is stop
     _assert_trace_is_stepped(trace, initial_mom_state(s, rho, lambda0),
                              lambda st: mom_step(st, s, rho), s.beta)
-
-
-@pytest.mark.parametrize("max_iter", [63, 64, 65, 200])
-def test_trace_rows_grow_by_doubling_up_to_max_iter_rows(max_iter, monkeypatch):
-    # with no tolerance stop predicted, the power rows go into a buffer of 64 rows
-    # that doubles when full, but never past max_iter + 1 rows; the rows written
-    # before each growth keep their bits
-    monkeypatch.setattr(dispatch, "_predicted_rows", lambda *_: dispatch._FIRST_ROWS)
-    s = _trace_scenario(3)
-    alpha = 0.01 * stability_bound_alpha(s)
-    trace = dual_ascent_solve(s, alpha, 1e-12, max_iter)
-    assert trace.stop_reason is StopReason.MAX_ITERATIONS and len(trace.lam) == max_iter + 1
-    assert trace.p.base is None and trace.p.shape[0] == max_iter + 1
-    _assert_trace_is_stepped(trace, initial_dual_state(s), lambda st: dual_ascent_step(st, s, alpha),
-                             s.beta)
-
-
-@pytest.mark.parametrize("first_rows", [None, 4], ids=["predicted", "doubled"])
-@pytest.mark.parametrize("method", ["dual", "mom"])
-def test_trace_owns_exactly_its_rows(method, first_rows, monkeypatch):
-    # The first buffer holds the rows up to the predicted tolerance stop; a stop
-    # past it (forced here by a 4-row first buffer) comes after doublings. Either
-    # way the trace's power rows own no spare buffer rows, and keep their bits.
-    s = _trace_scenario(50)
-    if method == "dual":
-        solve, step = dual_ascent_solve, 0.7 * stability_bound_alpha(s)
-    else:
-        solve, step = mom_solve, 0.8 / aggregate_power_slope(s)
-    expected = solve(s, step, 1e-9)
-    predicted, predict = [], dispatch._predicted_rows
-
-    def first_buffer_rows(*args):
-        predicted.append(first_rows or predict(*args))
-        return predicted[-1]
-
-    monkeypatch.setattr(dispatch, "_predicted_rows", first_buffer_rows)
-    trace = solve(s, step, 1e-9)
-    assert trace.stop_reason is StopReason.TOLERANCE and len(predicted) == 1
-    if first_rows is None:
-        assert len(trace.lam) <= predicted[0]
-    else:
-        assert len(trace.lam) > 2 * first_rows
-    assert trace.p.base is None or len(trace.p.base) == len(trace.lam)
-    assert trace.p.shape == expected.p.shape and trace.p.tobytes() == expected.p.tobytes()
 
 
 def test_public_results_hold_python_floats():
