@@ -688,8 +688,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--pair", required=True, choices=["dual-integral", "mom-pi"])
     p.add_argument("--steps", type=int, default=200,
                    help="steps to compare; the check stops early, with the same report, "
-                        "once both runs repeat a joint state, so its cost is bounded by "
-                        "where that cycle starts, not by --steps")
+                        "once both runs repeat a joint state (a fixed point or 2-cycle on "
+                        "its first repeat), so its cost is bounded by where that cycle "
+                        "starts, not by --steps")
     p.add_argument("--lambda0", type=float)
 
     return parser

@@ -10,7 +10,6 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 
 import numpy as np
 
@@ -87,9 +86,13 @@ def check_euler_equivalence(s: Scenario, pair: EquivalencePair, steps: int,
     short cycle. The next state is a function of that state alone, so once it
     repeats, bit for bit, every later row pair repeats one already folded in,
     and the loop stops there with the report it would give after ``steps``.
-    Repeats are found by Brent's method, against the state held at the last
-    power-of-two step, so the cost is bounded by where the cycle starts and its
-    length, not by ``steps``. A run that overflows never repeats.
+    Each state is compared with the states one and two steps back, so a fixed
+    point or a 2-cycle stops on the step it first repeats, and with the state
+    held at the last power-of-two step (Brent's method), which catches a longer
+    cycle one period after the first power of two at or past both its start and
+    its period. Prices and imbalances are compared first, and the bytes of the
+    whole state only when both match. So the cost is bounded by where the cycle
+    starts and its length, not by ``steps``. A run that overflows never repeats.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -106,10 +109,11 @@ def check_euler_equivalence(s: Scenario, pair: EquivalencePair, steps: int,
     g = _gains(s, ControllerConfig(kind, s.gain_K, s.tau))
     d, beta, tau, isfinite = total_load(s), s.beta, s.tau, math.isfinite
     iterates = _iterates(s, power, coupling, lambda0)
-    _, p, _ = next(iterates)
+    lam, p, imbalance = next(iterates)
     total, rows = _row_sum(p), max(1, _CHUNK_CELLS // len(p))
-    exact, euler, deviation, seen = [], [], 0.0, (None, None, b"")
-    for t, (lam, row, imbalance) in enumerate(islice(iterates, steps), 1):
+    exact, euler, deviation = [], [], 0.0
+    state = back = saved = (lam, imbalance), p  # each: (price, imbalance), Euler powers
+    for t, (lam, row, imbalance) in zip(range(1, steps + 1), iterates):
         p = p + tau * (g * -((total - d) / beta))  # Euler at h = tau
         total = _row_sum(p)
         if not (isfinite(imbalance) and isfinite(total)):  # else a term overflowed
@@ -118,16 +122,19 @@ def check_euler_equivalence(s: Scenario, pair: EquivalencePair, steps: int,
         euler.append(p)
         if len(exact) == rows:
             deviation = _fold(deviation, exact, euler)
-        if lam == seen[0] and imbalance == seen[1] and _bits(lam, imbalance, p) == seen[2]:
+        state, back, back2 = ((lam, imbalance), p), state, back
+        if (state[0] in (back[0], back2[0], saved[0])
+                and _bits(state) in map(_bits, (back, back2, saved))):
             break  # a repeat: every later row pair is one already taken
         if t & (t - 1) == 0:  # Brent: hold the state of each power-of-two step
-            seen = lam, imbalance, _bits(lam, imbalance, p)
+            saved = state
     return EquivalenceReport(pair, _fold(deviation, exact, euler), steps)
 
 
-def _bits(lam: float, imbalance: float, p: np.ndarray) -> bytes:
-    """The joint state as bytes, so that equal bytes mean the same state, -0.0 apart
-    from 0.0."""
+def _bits(state: tuple) -> bytes:
+    """A joint state ((price, imbalance), Euler powers) as bytes, so that equal bytes
+    mean the same state, -0.0 apart from 0.0."""
+    (lam, imbalance), p = state
     return struct.pack("2d", lam, imbalance) + p.tobytes()
 
 

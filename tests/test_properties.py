@@ -7,6 +7,7 @@ files and flags; and the JSON summary writer against json.dumps."""
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -289,10 +290,9 @@ def equivalence_cases(draw):
             draw(st.one_of(st.none(), st.floats(-50.0, 50.0))), draw(st.integers(1, 400)))
 
 
-def _reference_deviations(s: Scenario, pair, steps: int, lambda0) -> list:
-    """The largest power gap after each of ``steps`` steps between the public one-step
-    calls at alpha = rho = K/beta and forward Euler at h = tau from the same start,
-    each written out; NaN from the first step at which either side is not finite."""
+def _reference_run(s: Scenario, pair, lambda0):
+    """The public one-step calls at alpha = rho = K/beta next to forward Euler at
+    h = tau from the same start, each written out: (iterate, Euler powers) from step 0."""
     coupling = s.gain_K / s.beta
     g = s.gain_K / (s.columns.two_a * s.tau)
     if pair is EquivalencePair.DUAL_VS_INTEGRAL:
@@ -304,10 +304,17 @@ def _reference_deviations(s: Scenario, pair, steps: int, lambda0) -> list:
         g = g * (s.beta / (s.beta + s.gain_K * s.columns.slope))
     d = sum(s.loads)
     p = np.array(state.p)
-    deviation, out = 0.0, []
-    for _ in range(steps):
+    while True:
+        yield state, p
         state = step(state)
         p = p + s.tau * (g * -((sum(p.tolist()) - d) / s.beta))
+
+
+def _reference_deviations(s: Scenario, pair, steps: int, lambda0) -> list:
+    """The largest power gap after each of ``steps`` steps of ``_reference_run``; NaN
+    from the first step at which either side is not finite."""
+    deviation, out = 0.0, []
+    for state, p in itertools.islice(_reference_run(s, pair, lambda0), 1, steps + 1):
         if math.isnan(deviation) or not (math.isfinite(state.imbalance)
                                          and math.isfinite(sum(p.tolist()))):
             deviation = math.nan
@@ -315,6 +322,25 @@ def _reference_deviations(s: Scenario, pair, steps: int, lambda0) -> list:
             deviation = max(deviation, *(abs(x - y) for x, y in zip(state.p, p.tolist())))
         out.append(deviation)
     return out
+
+
+def _repeats(s: Scenario, pair, steps: int, lambda0) -> tuple:
+    """(first, period, brent) over steps 1..steps of ``_reference_run``: the first step
+    whose joint state, as ``_bits`` spells it, is an earlier one and the distance back
+    to it, found by a dict of every state, and the first step whose state is that of
+    the last power-of-two step before it (Brent's method alone); None where none is."""
+    seen, held, first, period = {}, None, None, None
+    for t, (state, p) in enumerate(itertools.islice(_reference_run(s, pair, lambda0),
+                                                    steps + 1)):
+        key = experiments._bits(((state.lam, state.imbalance), p))
+        if first is None and key in seen:
+            first, period = t, t - seen[key]
+        if key == held:
+            return first, period, t
+        seen.setdefault(key, t)
+        if t & (t - 1) == 0 and t > 0:
+            held = key
+    return first, period, None
 
 
 def _seeded_case(n: int, pair, steps: int):
@@ -359,6 +385,7 @@ def _euler_drift_case():
 @example(case=_chunked_case(1, EquivalencePair.DUAL_VS_INTEGRAL, 20_000))
 @example(case=_seeded_case(2, EquivalencePair.MOM_VS_PI, 20_000))
 @example(case=_seeded_case(9, EquivalencePair.MOM_VS_PI, 600))  # numpy's pairwise sum
+@example(case=_seeded_case(21, EquivalencePair.MOM_VS_PI, 200))  # a 3-cycle: Brent's stop
 @example(case=_period_two_case())
 @example(case=_euler_drift_case())
 @example(case=(make_scenario([0.5, 1.0], [0.0, 0.0], [6.0, 4.0], beta=1.5),
@@ -372,17 +399,22 @@ def test_equivalence_is_the_public_steps_against_an_euler_twin_bit_for_bit(case)
     assert check_euler_equivalence(s, pair, steps, lambda0).max_abs_deviation == expected
 
 
-@pytest.mark.parametrize("case", [
-    *((reference_scenario(), pair, lambda0, 200)
+@pytest.mark.parametrize("case,period", [
+    *(((reference_scenario(), pair, lambda0, 200), 1)
       for pair in EquivalencePair for lambda0 in (0.0, -20.0)),
-    _period_two_case(),
-    _seeded_case(9, EquivalencePair.MOM_VS_PI, 600),  # a cycle of period 2 from step 57
+    (_period_two_case(), 2),
+    (_seeded_case(9, EquivalencePair.MOM_VS_PI, 600), 2),  # a 2-cycle from step 57
+    (_seeded_case(21, EquivalencePair.MOM_VS_PI, 200), 3),  # first repeats at step 63
+    *((_seeded_case(1000, pair, 20), None) for pair in EquivalencePair),  # none in 20 steps
 ])
-def test_equivalence_stops_at_the_first_repeat(case, monkeypatch):
-    # Both sides settle on a rounding fixed point or a short cycle within about 60
-    # steps here, so a run of 10**7 steps draws few states and reports the deviation
-    # of a run that ends past the cycle's start.
+def test_equivalence_stops_at_the_first_repeat(case, period, monkeypatch):
+    # The check compares each joint state with those one and two steps back, and
+    # with Brent's state of the last power-of-two step, so a fixed point or a 2-cycle
+    # stops on its first repeat, a longer cycle no later than Brent's method alone,
+    # and a run of 10**7 steps reports the deviation of one that ends past the repeat.
     s, pair, lambda0, steps = case
+    first, found, brent = _repeats(s, pair, steps, lambda0)
+    assert found == period
     drawn, kernel = [0], experiments._iterates
 
     def counted(*args):
@@ -390,11 +422,18 @@ def test_equivalence_stops_at_the_first_repeat(case, monkeypatch):
             drawn[0] += 1
             yield state
 
-    short = check_euler_equivalence(s, pair, steps, lambda0)
     monkeypatch.setattr(experiments, "_iterates", counted)
+    short = check_euler_equivalence(s, pair, steps, lambda0)
+    if period is None:
+        assert drawn[0] == 1 + steps  # no false stop
+        return
+    drawn[0] = 0
     report = check_euler_equivalence(s, pair, 10 ** 7, lambda0)
-    assert 0 < drawn[0] < 1000
     assert report == dataclasses.replace(short, steps=10 ** 7)
+    if period <= 2:
+        assert drawn[0] == 1 + first
+    else:
+        assert first < drawn[0] <= 1 + brent
 
 
 def test_equivalence_overflow_in_a_later_chunk_is_nan(tmp_path, capsys):
