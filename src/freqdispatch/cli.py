@@ -8,6 +8,7 @@ which the JSON summaries write as null.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -47,6 +48,7 @@ from .model import (
     ControllerConfig,
     ControllerKind,
     Scenario,
+    _float,
     validate_scenario,
 )
 
@@ -130,10 +132,7 @@ def _check_keys(obj, path, required, allowed):
 def _number(value, path, key) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFileError(_where((*path, key)), "expected a number")
-    try:
-        return float(value)
-    except OverflowError:  # an integer past the float range reads as a float literal that large
-        return math.inf if value > 0 else -math.inf
+    return _float(value)  # an integer past the float range reads as a float literal that large
 
 
 def _integer(value, path, key) -> int:
@@ -170,11 +169,11 @@ def _parse_generator(obj, path) -> tuple:
             _number(obj.get("p_init", 0.0), path, "p_init"))
 
 
-def _generator_columns(gens: list) -> tuple[list, ...] | None:
-    """The lists ids, a, b, c, p_init of generator entries that keep every rule of
-    ``_parse_generator``, read a column at a time; None when an entry breaks a
-    rule or holds an integer that no float holds, which ``_parse_generator`` then
-    settles entry by entry."""
+def _generator_columns(gens: list) -> tuple[list, np.ndarray] | None:
+    """The ids and the (4, N) float64 block a, b, c, p_init of generator entries
+    that keep every rule of ``_parse_generator``, read a column at a time; None when
+    an entry breaks a rule or holds an integer that no float holds, which
+    ``_parse_generator`` then settles entry by entry."""
     if not (set(map(type, gens)) <= _DICT and all(map(_GENERATOR_KEYS[1].issuperset, gens))):
         return None
     try:
@@ -186,13 +185,10 @@ def _generator_columns(gens: list) -> tuple[list, ...] | None:
                    [x.get("c", 0.0) for x in costs], [g.get("p_init", 0.0) for g in gens])
     except KeyError:  # a required key is missing
         return None
-    kinds = set(map(type, itertools.chain.from_iterable(columns)))  # bool is not int here
-    if kinds <= _FLOAT:
-        return ids, *columns
-    if not kinds <= _NUMBER:
+    if not set(map(type, itertools.chain.from_iterable(columns))) <= _NUMBER:  # bool is not int
         return None
     try:
-        return ids, *(list(map(float, col)) for col in columns)
+        return ids, np.array(columns, dtype=float)
     except OverflowError:
         return None
 
@@ -205,10 +201,10 @@ def _parse_scenario(obj, path) -> Scenario:
     loads = _array(obj["loads"], path, "loads")
     columns = _generator_columns(gens)
     if columns is None:  # entry by entry, to name the first problem in document order
-        columns = tuple(zip(*(_parse_generator(g, (*path, "generators", i))
-                              for i, g in enumerate(gens))))
-    ids, *numbers = columns
-    return Scenario._of(ids, numbers,
+        ids, *numbers = zip(*(_parse_generator(g, (*path, "generators", i))
+                              for i, g in enumerate(gens)))
+        columns = ids, numbers
+    return Scenario._of(*columns,
                         [_number(x, (*path, "loads"), j) for j, x in enumerate(loads)],
                         _number(obj["gain_K"], path, "gain_K"),
                         _number(obj["beta"], path, "beta"),
@@ -273,8 +269,8 @@ def parse_scenario_file(text: str) -> ScenarioFile:
     """Strict parse: unknown keys are rejected, every invariant is checked.
 
     Raises ScenarioFileError with a field path on the first problem in document
-    order. The generator entries are checked a column at a time into the lists of
-    ids and numbers that the scenario keeps: no ``Generator`` is built.
+    order. The generator entries are checked a column at a time into the ids and
+    the float64 number block that the scenario keeps: no ``Generator`` is built.
     """
     try:
         raw = json.loads(text)
@@ -308,7 +304,7 @@ def serialize_scenario_file(sf: ScenarioFile) -> str:
         "scenario": {
             "generators": [  # from the ids and number columns: no generator objects
                 {"id": gen_id, "cost": {"a": a, "b": b, "c": c}, "p_init": p_init}
-                for gen_id, a, b, c, p_init in zip(s._ids, *s._numbers)
+                for gen_id, a, b, c, p_init in zip(s._ids, *s._numbers.tolist())
             ],
             "loads": list(s.loads),
             "gain_K": s.gain_K,
@@ -715,6 +711,13 @@ def _solver_opts(args, s: Scenario, block: SolverOptions | None) -> SolverOption
                    rho=coupling if opts.rho is None else opts.rho)
 
 
+def _csv_file(args):
+    """The ``--out-csv`` file, opened for writing, or a null context; a command opens
+    it once its result is computed and before it prints the summary, so a path that
+    cannot be opened fails the command with nothing on stdout."""
+    return open(args.out_csv, "w", encoding="utf-8") if args.out_csv else contextlib.nullcontext()
+
+
 def _cmd_validate(args) -> int:
     try:
         _read_file(args.file)
@@ -763,9 +766,9 @@ def _cmd_iterate(args) -> int:
         "delta_f": float(trace.delta_f[-1]),
         "empirical_ratio": empirical_ratio(trace, opts.tol),
     }
-    _emit(payload)
-    if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
+    with _csv_file(args) as fh:
+        _emit(payload)
+        if fh is not None:
             write_trace_csv(trace, fh)
     return EXIT_DIVERGED if trace.stop_reason is StopReason.DIVERGED else EXIT_OK
 
@@ -794,9 +797,9 @@ def _cmd_simulate(args) -> int:
         "settling_eps": args.eps,
         "steady_state": steady,
     }
-    _emit(payload)
-    if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
+    with _csv_file(args) as fh:
+        _emit(payload)
+        if fh is not None:
             write_trace_csv(trace, fh)
     return EXIT_OK
 
@@ -815,9 +818,9 @@ def _cmd_sweep(args) -> int:
     opts = _solver_opts(args, sf.scenario, sf.solver)
     records = sweep(sf.scenario, args.param, args.values, opts.tol,
                     max_iter=opts.max_iter, lambda0=opts.lambda0)
-    _emit({"parameter": args.param, "records": records})
-    if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
+    with _csv_file(args) as fh:
+        _emit({"parameter": args.param, "records": records})
+        if fh is not None:
             _write_sweep_csv(records, fh)
     return EXIT_OK
 

@@ -60,24 +60,26 @@ class Generator:
 
 
 class _GeneratorView:
-    """``Scenario.generators``. Set, it keeps the generators' ids and number columns
-    a, b, c and p_init, a scenario's data; read, it builds the generators from those once."""
+    """``Scenario.generators``. Set, it keeps the generators' ids and their numbers as
+    one read-only (4, N) float64 block with rows a, b, c and p_init, each value read
+    by ``_float``; read, it builds the generators from those once."""
 
     def __get__(self, s, owner=None) -> tuple[Generator, ...]:
         if s is None:
             raise AttributeError("generators")  # a field without a default
         if "generators" not in s.__dict__:
-            a, b, c, p_init = s._numbers
+            a, b, c, p_init = s._numbers.tolist()
             s.__dict__["generators"] = tuple(map(Generator, s._ids,
                                                  map(CostCoefficients, a, b, c), p_init))
         return s.__dict__["generators"]
 
     def __set__(self, s, generators) -> None:
         gens = tuple(generators)
-        costs = [g.cost for g in gens]  # one list per column: the fastest way in
-        s.__dict__.update(generators=gens, _ids=tuple([g.id for g in gens]), _numbers=tuple(map(
-            tuple, ([c.a for c in costs], [c.b for c in costs], [c.c for c in costs],
-                    [g.p_init for g in gens]))))
+        costs = [g.cost for g in gens]
+        rows = ([c.a for c in costs], [c.b for c in costs], [c.c for c in costs],
+                [g.p_init for g in gens])
+        s.__dict__.update(generators=gens, _ids=tuple([g.id for g in gens]),
+                          _numbers=_read_only(np.array([list(map(_float, row)) for row in rows])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +91,9 @@ class Scenario:
     price correction, ``beta`` converts power imbalance into frequency
     deviation, and ``tau`` is both the discrete iteration step size and
     the controller time constant. The generators are kept as their ids and
-    number columns; ``generators`` is built from those on first read.
+    one read-only (4, N) float64 block, rows a, b, c and p_init, which
+    validation, equality, hashing and ``columns`` read; ``generators`` is
+    built from those on first read.
     """
 
     generators: tuple[Generator, ...] = _GeneratorView()
@@ -103,19 +107,21 @@ class Scenario:
 
     @classmethod
     def _of(cls, ids, numbers, loads, gain_K, beta, tau, columns=None) -> Scenario:
-        """The scenario of generator ``ids`` and their ``numbers`` (a, b, c, p_init),
-        built without generators; ``columns``, if given, must be those numbers'."""
+        """The scenario of generator ``ids`` and their ``numbers`` (rows a, b, c, p_init
+        of floats or ints in the float range), built without generators; ``columns``,
+        if given, must be those numbers'."""
         s = cls.__new__(cls)
-        s.__dict__.update(_ids=tuple(ids), _numbers=tuple(map(tuple, numbers)),
+        s.__dict__.update(_ids=tuple(ids), _numbers=_read_only(np.asarray(numbers, dtype=float)),
                           loads=tuple(map(float, loads)), gain_K=gain_K, beta=beta, tau=tau)
         if columns is not None:
             s.__dict__["columns"] = columns  # where cached_property keeps its value
         return s
 
     def _key(self) -> tuple:
-        return self._ids, self._numbers, self.loads, self.gain_K, self.beta, self.tau
+        return (self._ids, tuple(map(tuple, self._numbers.tolist())), self.loads, self.gain_K,
+                self.beta, self.tau)
 
-    def __eq__(self, other):  # the dataclass's, on the columns
+    def __eq__(self, other):  # the dataclass's, on the ids and numbers
         return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
@@ -129,22 +135,12 @@ class Scenario:
 
     def replace(self, **changes) -> Scenario:
         """``dataclasses.replace``; a copy that keeps the generators builds none, and
-        shares this scenario's columns."""
+        shares this scenario's numbers and columns."""
         if "generators" in changes:
             return dataclasses.replace(self, **changes)
         fields = {"loads": self.loads, "gain_K": self.gain_K, "beta": self.beta,
                   "tau": self.tau, **changes}
         return Scenario._of(self._ids, self._numbers, **fields, columns=self.columns)
-
-    def with_p_init(self, p_init) -> Scenario:
-        """This scenario with the generators' initial outputs set to ``p_init``, one
-        value per generator (else ValueError); its columns share ``a``, ``2a``, ``b``,
-        ``c`` and ``w`` with this one's."""
-        if len(p_init := tuple(p_init)) != len(self._ids):
-            raise ValueError(f"p_init holds {len(p_init)} values for {len(self._ids)} generators")
-        columns = dataclasses.replace(self.columns, p_init=_read_only(np.array(p_init, float)))
-        return Scenario._of(self._ids, (*self._numbers[:3], p_init), self.loads, self.gain_K,
-                            self.beta, self.tau, columns)
 
 
 def _row_sum(row: np.ndarray) -> float:
@@ -256,47 +252,20 @@ class Violation:
         return f"{self.field}: {self.message}"
 
 
+def _float(x) -> float:
+    """``x`` as the scenario file parser reads it: an int or float as its float, an
+    int past the float range as inf or -inf, and anything else as NaN."""
+    if not isinstance(x, (int, float)):
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _finite(x) -> bool:
-    """Whether ``x`` is an int or float that is finite as a float; an int past the
-    float range counts as infinite, as the scenario file parser reads it."""
-    try:
-        return isinstance(x, (int, float)) and math.isfinite(x)
-    except OverflowError:
-        return False
-
-
-_PLAIN_NUMBERS = frozenset({float, int})
-
-
-def _all_finite(col) -> bool:
-    """``all(map(_finite, col))`` in C-level passes, for plain ints and floats;
-    False (so the caller walks the column) when another type or an int past
-    the float range is present."""
-    try:
-        return set(map(type, col)) <= _PLAIN_NUMBERS and all(map(math.isfinite, col))
-    except OverflowError:
-        return False
-
-
-def _problem(name: str, x) -> str | None:
-    """What is wrong with ``x`` as a generator's field ``name`` (a, b, c, p_init), or None."""
-    if not _finite(x):
-        return f"{name} must be finite"
-    if name != "a":
-        return None
-    if x <= 0:
-        return "a must be > 0"
-    if not 0.0 < 1.0 / (2.0 * x) < math.inf:  # the weight w = 1/(2a), 0 if 2a overflows
-        return "a must keep 2a and 1/(2a) finite"
-    return None
-
-
-def _slopes_ok(a) -> bool:
-    """Whether every slope in a non-empty column of finite numbers passes ``_problem``:
-    fl(1/fl(2a)) falls as a grows, so a > 0 and 0 < 1/(2a) < inf hold for all once
-    they hold at the least and the greatest."""
-    least, greatest = min(a), max(a)
-    return least > 0 and 1.0 / (2.0 * least) < math.inf and 1.0 / (2.0 * greatest) > 0.0
+    """Whether ``x`` is an int or float that is finite as ``_float`` reads it."""
+    return math.isfinite(_float(x))
 
 
 _FIELDS = (("cost.a", "a"), ("cost.b", "b"), ("cost.c", "c"), ("p_init", "p_init"))
@@ -306,36 +275,35 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     """Check every scenario invariant; return the (possibly empty) list of violations.
 
     Reports rather than raises so callers can surface all problems at once. The
-    generator fields are checked in bulk; rows are walked only in a column that
-    fails, and the violations come out by generator, then field.
+    generator rules are array expressions over the scenario's number block: b, c
+    and p_init finite, and 0 < w < inf for the weight w = 1/(2a), which also rejects
+    an a that is not finite or not positive. Only the rows that break a rule, or
+    repeat an id, are walked, and their violations come out by generator, then field.
     """
     out: list[Violation] = []
     ids, numbers = s._ids, s._numbers
     if len(ids) < 1:
         out.append(Violation("generators", "at least one generator required"))
 
-    failed: dict[int, list[Violation]] = {}  # generator index -> its violations, in field order
-    slopes_ok = bool(ids)  # every a passes its own rule
-    for (field, name), col in zip(_FIELDS, numbers if ids else ()):
-        if _all_finite(col) and (name != "a" or _slopes_ok(col)):
-            continue
-        for i, x in enumerate(col):
-            if (why := _problem(name, x)) is not None:
-                slopes_ok = slopes_ok and name != "a"
-                failed.setdefault(i, []).append(
-                    Violation(f"generators[{i}].{field}", f"{why} for generator {i + 1}"))
-    if len(set(ids)) < len(ids):
-        seen_ids: set[str] = set()
-        for i, x in enumerate(ids):
-            if x in seen_ids:
-                failed.setdefault(i, []).append(
-                    Violation(f"generators[{i}].id", f"duplicate generator id '{x}'"))
-            seen_ids.add(x)
-    for i in sorted(failed):
-        out += failed[i]
-    with np.errstate(over="ignore"):  # S as Columns.of sums it, once each 1/(2a) is finite
-        if slopes_ok and not math.isfinite((1.0 / (2.0 * np.array(numbers[0], float))).sum()):
-            out.append(Violation("generators", "the total slope sum 1/(2a) must be finite"))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = 1.0 / (2.0 * numbers[0])
+        ok = np.isfinite(numbers)
+        ok[0] = (w > 0.0) & (w < math.inf)
+        slope_sum = float(w.sum())  # S as Columns.of sums it
+    if not ok.all() or len(set(ids)) < len(ids):
+        first: dict[str, int] = {}  # id -> the first generator that holds it
+        duplicates = {i for i, x in enumerate(ids) if first.setdefault(x, i) != i}
+        for i in sorted({*np.flatnonzero(~ok.all(axis=0)).tolist(), *duplicates}):
+            for (field, name), good, x in zip(_FIELDS, ok[:, i].tolist(), numbers[:, i].tolist()):
+                if not good:
+                    why = (f"{name} must be finite" if not math.isfinite(x) else
+                           "a must be > 0" if x <= 0 else "a must keep 2a and 1/(2a) finite")
+                    out.append(Violation(f"generators[{i}].{field}",
+                                         f"{why} for generator {i + 1}"))
+            if i in duplicates:
+                out.append(Violation(f"generators[{i}].id", f"duplicate generator id '{ids[i]}'"))
+    if ids and not math.isfinite(slope_sum) and ok[0].all():
+        out.append(Violation("generators", "the total slope sum 1/(2a) must be finite"))
 
     if len(s.loads) < 1:
         out.append(Violation("loads", "at least one load required"))

@@ -643,6 +643,33 @@ def test_missing_file_exit_1(capsys):
     assert run_command(["dispatch", "/nonexistent/nowhere.json"]) == 1
 
 
+CSV_COMMANDS = {  # each command that takes --out-csv, and a flag it refuses
+    "iterate": (["--method", "mom"], ["--tol", "-1"]),
+    "simulate": (["--controller", "integral"], ["--h", "nan"]),
+    "sweep": (["--param", "alpha", "--values", "0.1", "0.5"], ["--tol", "-1"]),
+}
+
+
+@pytest.mark.parametrize("command", CSV_COMMANDS)
+def test_unopenable_csv_prints_no_summary_exit_1(scenario_file, tmp_path, capsys, command):
+    # the CSV is opened before the summary is printed, so a failed command prints none
+    flags, _ = CSV_COMMANDS[command]
+    out_csv = tmp_path / "missing" / "out.csv"
+    assert run_command([command, scenario_file, *flags, "--out-csv", str(out_csv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] ")
+
+
+@pytest.mark.parametrize("command", CSV_COMMANDS)
+def test_failed_command_creates_no_csv(scenario_file, tmp_path, capsys, command):
+    flags, refused = CSV_COMMANDS[command]
+    out_csv = tmp_path / "out.csv"
+    assert run_command([command, scenario_file, *flags, *refused, "--out-csv", str(out_csv)]) == 1
+    assert capsys.readouterr().out == ""
+    assert not out_csv.exists()
+
+
 def test_invalid_file_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(reference_text(format_version=9))

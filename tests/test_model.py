@@ -160,22 +160,3 @@ def test_scenario_collections_are_tuples():
     s = Scenario([Generator("G1", CostCoefficients(1.0, 0.0))], [5.0], 1.0, 1.0, 1.0)
     assert isinstance(s.generators, tuple)
     assert isinstance(s.loads, tuple)
-
-
-@pytest.mark.parametrize("p_init", [[1.0], [1.0, 2.0, 3.0]], ids=["short", "long"])
-def test_with_p_init_refuses_a_wrong_length(p_init):
-    # one value per generator: a short or long list once gave a scenario whose
-    # columns disagreed with its generators
-    s = reference_scenario()
-    with pytest.raises(ValueError, match=rf"^p_init holds {len(p_init)} values for 2 generators$"):
-        s.with_p_init(p_init)
-    with pytest.raises(ValueError, match=r"holds \d values for 2 generators"):
-        s.with_p_init(np.array(p_init))
-
-
-def test_with_p_init_keeps_all_but_p_init():
-    s = reference_scenario()
-    moved = s.with_p_init([6.0, 4.0])
-    assert moved == make_scenario([0.5, 1.0], [1.0, 2.0], [6.0, 4.0], p_init=[6.0, 4.0], beta=1.5)
-    assert moved.columns.p_init.tolist() == [6.0, 4.0]
-    assert s.with_p_init(g.p_init for g in s.generators) == s

@@ -53,6 +53,7 @@ from freqdispatch import (
 from freqdispatch import cli, experiments
 from freqdispatch.cli import (
     ScenarioFile,
+    ScenarioFileError,
     SimulationOptions,
     SolverOptions,
     parse_scenario_file,
@@ -537,11 +538,8 @@ def test_constructor_and_parser_build_the_same_scenario(sf, data):
     # the file's id and number lists. Both must be one scenario, before and after
     # the copies the library makes of it.
     built, parsed = sf.scenario, parse_scenario_file(serialize_scenario_file(sf)).scenario
-    n = len(built.generators)
     loads = tuple(data.draw(st.lists(_finite, min_size=1, max_size=4)))
-    p_init = data.draw(_floats(-1e6, 1e6, n))
-    for x, y in [(built, parsed), (built.replace(loads=loads), parsed.replace(loads=loads)),
-                 (built.with_p_init(p_init), parsed.with_p_init(p_init))]:
+    for x, y in [(built, parsed), (built.replace(loads=loads), parsed.replace(loads=loads))]:
         fresh = Scenario(y.generators, y.loads, y.gain_K, y.beta, y.tau)  # its own columns
         assert x == y == fresh and hash(x) == hash(y) == hash(fresh) and repr(x) == repr(y)
         assert x.generators == y.generators
@@ -612,12 +610,24 @@ def test_validation_in_bulk_matches_row_by_row(data):
     gens = tuple(Generator(i, CostCoefficients(value(0.1, 5.0), value(-20.0, 20.0),
                                                value(-5.0, 5.0)), value(-10.0, 30.0))
                  for i in ids)
-    s = Scenario(gens, tuple(data.draw(st.lists(st.floats(), max_size=3))),
-                 *data.draw(st.lists(st.floats(), min_size=3, max_size=3)))
+    # loads and gain_K, beta, tau: any float, or one that passes, so that some scenarios are valid
+    s = Scenario(gens, tuple(data.draw(st.lists(st.one_of(_finite, st.floats()), max_size=3))),
+                 *data.draw(st.lists(st.one_of(_positive, st.floats()), min_size=3, max_size=3)))
     # the rules past the generators are unchanged: what a generator-less copy
     # reports after its "at least one generator"
     rest = validate_scenario(dataclasses.replace(s, generators=()))[1:]
-    assert validate_scenario(s) == _validate_row_by_row(s) + rest
+    violations = validate_scenario(s)
+    assert violations == _validate_row_by_row(s) + rest
+    # a file of the same numbers: the parser reports exactly these violations
+    if all(type(x) in (int, float) for g in gens for x in (g.cost.a, g.cost.b, g.cost.c, g.p_init)):
+        text = serialize_scenario_file(ScenarioFile(1, s))
+        if not violations:
+            assert parse_scenario_file(text).scenario == s
+            return
+        with pytest.raises(ScenarioFileError) as err:
+            parse_scenario_file(text)
+        assert (err.value.path, err.value.reason) == ("scenario", "invalid scenario: " + "; ".join(
+            f"scenario.{v.field}: {v.message}" for v in violations))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from freqdispatch import (
     EquivalencePair,
     SimState,
     aggregate_power_slope,
-    analytic_dispatch,
     check_euler_equivalence,
     compare_convergence,
     dual_ascent_solve,
@@ -167,19 +166,6 @@ def test_sweep_shares_columns_across_values(monkeypatch, param):
     records = sweep(s, param, [0.5, 1.0, 2.0], max_iter=10)
     assert [r.settling_integral is not None for r in records] == [True] * 3
     assert builds == [5, 1, 1, 1]
-
-
-def test_economic_start_shares_every_column_but_p_init():
-    rng = np.random.default_rng(7)
-    s = _random_fleet(rng, 50)
-    start = s.with_p_init(analytic_dispatch(s).p)
-    assert start == economic_start(s)
-    fresh = economic_start(s).columns  # built from the start's generators
-    for name in ("a", "two_a", "b", "c", "w"):
-        assert getattr(start.columns, name) is getattr(s.columns, name)
-    for name in ("a", "two_a", "b", "c", "p_init", "w", "slope"):
-        assert np.array_equal(getattr(start.columns, name), getattr(fresh, name))
-    assert not start.columns.p_init.flags.writeable
 
 
 @pytest.mark.parametrize("kind", [INTEGRAL, PI])
