@@ -21,6 +21,7 @@ from .model import (
     ControllerConfig,
     ControllerKind,
     Scenario,
+    _row_sum,
     total_load,
 )
 
@@ -112,13 +113,13 @@ class SimulationTrace:
 
 
 def frequency_deviation(p, d_total: float, beta: float) -> float:
-    """Quasi-static deviation (sum(p) - d_total) / beta.
+    """Quasi-static deviation (sum(p) - d_total) / beta, p added left to right.
 
     Sign convention: surplus generation raises the frequency.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError("beta must be finite and > 0")
-    return (sum(p) - d_total) / beta
+    return (_row_sum(np.asarray(p, dtype=float)) - d_total) / beta
 
 
 def _gains(s: Scenario, cfg: ControllerConfig) -> np.ndarray:
@@ -180,13 +181,13 @@ def _closure(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
     d = total_load(s)
     if isinstance(model, QuasiStatic):
         def unpack(t, y):
-            p = tuple(y.tolist())
-            return SimState(t, p, frequency_deviation(p, d, model.beta))
+            return SimState(t, tuple(y.tolist()), frequency_deviation(y, d, model.beta))
 
         return np.asarray(state.p), unpack, lambda st: np.asarray(rhs(st, s, cfg))
 
     def deriv(st):
-        ddf = ((sum(st.p) - d) - model.d_damp * st.delta_f) / model.m_inertia
+        e = _row_sum(np.array(st.p, dtype=float)) - d
+        ddf = (e - model.d_damp * st.delta_f) / model.m_inertia
         return np.append(rhs(st, s, cfg), ddf)
 
     return (np.append(state.p, state.delta_f),
@@ -314,7 +315,7 @@ def simulate(s: Scenario, cfg: ControllerConfig,
         idx = round(min(ev.time / h, n_steps + 1.0))  # clamped: a huge time / h cannot overflow
         if idx > n_steps:
             raise ValueError(f"event at t={ev.time} lies beyond t_end")
-        demand[idx] = sum(ev.loads)  # events snapping to the same step: last wins
+        demand[idx] = _row_sum(np.array(ev.loads))  # events snapping to the same step: last wins
         snapped.append(LoadEvent(idx * h, ev.loads))
     t = np.arange(n_steps + 1) * h  # i*h, since summing h drifts off the grid
 

@@ -167,7 +167,7 @@ def empirical_ratio(trace: IterationTrace, tol: float) -> float | None:
     if not ratios:
         return None
     tail = ratios[int(0.2 * len(ratios)):]
-    return math.exp(sum(math.log(r) for r in tail) / len(tail))
+    return math.exp(_row_sum(np.array([math.log(r) for r in tail])) / len(tail))
 
 
 @dataclass(frozen=True)

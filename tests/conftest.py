@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -136,3 +137,24 @@ def strict_json(text):
         raise ValueError(f"non-standard JSON constant {name}")
 
     return json.loads(text, parse_constant=reject)
+
+
+def neumaier_sum(iterable, /, start=0):
+    """The builtin ``sum`` of Python 3.12 and 3.13: floats added after a float are
+    added with Neumaier's compensation, whose residue is added once at the end if it
+    is finite and not zero; anything else is added as ``+`` adds it, after the
+    residue so far. It gives the bits of the real 3.12.1 and 3.13.0 ``sum`` on lists
+    of floats, overflowing, infinite and signed-zero ones among them."""
+    total, c = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            if c and math.isfinite(c):
+                total += c
+            total, c = total + x, 0.0
+    if c and math.isfinite(c):
+        total += c
+    return total

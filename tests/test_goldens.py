@@ -1,22 +1,28 @@
 """Every command's stdout, stderr, exit code and CSV bytes against goldens recorded
 from the program: the README reference scenario, a seeded 200-unit fleet (whose
 power lists take the summary writer's one-join path) and that fleet made invalid.
+The same bytes must come out when the builtin ``sum`` compensates its rounding, as
+it does from Python 3.12 on.
 
 To record the goldens again, after a change that is meant to move an output:
 
     PYTHONPATH=src python tests/test_goldens.py
 """
 
+import builtins
 import contextlib
 import hashlib
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
 from freqdispatch.cli import run_command
+
+from conftest import neumaier_sum
 
 GOLDEN = Path(__file__).parent / "golden"
 RECORDED = GOLDEN / "commands.json"
@@ -95,6 +101,26 @@ def run(argv: list[str], tmp: Path) -> dict:
 def test_command_output_matches_golden(name, tmp_path):
     want = json.loads(RECORDED.read_text(encoding="utf-8"))[name]
     assert run(COMMANDS[name], tmp_path) == want
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_output_matches_golden_under_a_compensated_sum(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    want = json.loads(RECORDED.read_text(encoding="utf-8"))[name]
+    assert run(COMMANDS[name], tmp_path) == want
+
+
+# Lists and their builtin sum under Python 3.12.1 and 3.13.0; added left to right, the
+# first three give 0.0, 0.9999999999999999 and 0.6000000000000001.
+COMPENSATED_SUMS = [([1.0, 1e100, 1.0, -1e100], 2.0), ([0.1] * 10, 1.0), ([0.1, 0.2, 0.3], 0.6),
+                    ([-0.0, -0.0], 0.0), ([1e308, 1e308, -1e308], math.inf)]
+
+
+@pytest.mark.parametrize("xs, want", COMPENSATED_SUMS)
+def test_the_emulated_sum_is_that_of_python_3_12(xs, want):
+    assert neumaier_sum(xs).hex() == want.hex()
+    if sys.version_info >= (3, 12):
+        assert sum(xs).hex() == want.hex()
 
 
 if __name__ == "__main__":

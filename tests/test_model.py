@@ -125,6 +125,18 @@ def test_validate_reports_nonfinite_values():
     assert fields == {"generators[1].cost.b", "loads[1]"}
 
 
+@pytest.mark.parametrize("load", [10 ** 400, -10 ** 400, None, "1.0"],
+                         ids=["10**400", "-10**400", "None", "string"])
+def test_validate_reports_a_load_that_is_not_a_finite_number(load):
+    # read as the file parser reads numbers: past the float range as inf, else NaN
+    gens = (Generator("G1", CostCoefficients(1.0, 0.0)),)
+    for s in (Scenario(gens, [load], 1.0, 1.0, 1.0),
+              reference_scenario().replace(loads=(6.0, load))):
+        j = len(s.loads) - 1
+        assert [str(v) for v in validate_scenario(s)] == [
+            f"loads[{j}]: load {j + 1} must be finite"]
+
+
 def test_validate_reports_empty_collections():
     s = Scenario((), (), 1.0, 1.0, 1.0)
     fields = {v.field for v in validate_scenario(s)}

@@ -1,18 +1,24 @@
 """Properties on drawn scenarios: the exact propagator against RK4, the solvers against
 the closed form, the scenario file format against itself, bulk validation and the
-simulation CSV against their row-by-row references; the CSV float kernel against
+simulation CSV against their row-by-row references; the row sum against Python 3.11's
+builtin ``sum``; the CSV float kernel against
 format(x, ".17g"); the command line on fuzzed
 files and flags; and the JSON summary writer against json.dumps."""
 
+import builtins
 import contextlib
 import dataclasses
+import functools
 import io
 import itertools
 import json
 import math
+import operator
 import os
+import struct
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +37,7 @@ from freqdispatch import (
     LoadEvent,
     QuasiStatic,
     Scenario,
+    SimState,
     SimulationTrace,
     StopReason,
     aggregate_power_slope,
@@ -39,6 +46,7 @@ from freqdispatch import (
     compare_convergence,
     dual_ascent_solve,
     dual_ascent_step,
+    frequency_deviation,
     initial_dual_state,
     initial_mom_state,
     integral_rhs,
@@ -48,9 +56,11 @@ from freqdispatch import (
     settling_time,
     simulate,
     stability_bound_alpha,
+    step_euler,
+    total_load,
     validate_scenario,
 )
-from freqdispatch import cli, experiments
+from freqdispatch import cli, experiments, model
 from freqdispatch.cli import (
     ScenarioFile,
     ScenarioFileError,
@@ -64,7 +74,7 @@ from freqdispatch.cli import (
 from freqdispatch.dynamics import MAX_TRACE_CELLS
 from freqdispatch.model import Columns, Violation
 
-from conftest import (economic_start, make_scenario, reference_scenario,
+from conftest import (economic_start, make_scenario, neumaier_sum, reference_scenario,
                       reference_simulation_csv, rk4_trace, strict_json)
 
 INTEGRAL = ControllerKind.INTEGRAL
@@ -275,6 +285,67 @@ def test_dual_and_mom_converge_to_the_closed_form(case):
 
 
 # ---------------------------------------------------------------------------
+# The row sum: Python 3.11's builtin sum on every interpreter
+
+def _left_to_right(xs) -> float:
+    """The builtin ``sum`` of Python 3.10 and 3.11 over floats, written out: each added
+    in turn to the total from 0. From 3.12 ``sum`` compensates, in other last bits."""
+    return functools.reduce(operator.add, xs, 0)
+
+
+_LONG = model._ACCUMULATE_FROM  # rows this long are summed by np.add.accumulate
+_BIG = st.floats(1e307, 1.7e308) | st.floats(-1.7e308, -1e307)  # sums that overflow
+
+
+@st.composite
+def sum_rows(draw):
+    """A float64 row of 1 to 2 * _LONG elements, all from one of a few kinds of floats."""
+    elements = draw(st.sampled_from([st.floats(-1e3, 1e3), st.floats(), _BIG,
+                                     st.sampled_from([0.0, -0.0, 1e-300, -5e-324]),
+                                     st.sampled_from([math.inf, -math.inf, 1e308])]))
+    return np.array(draw(st.lists(elements, min_size=1, max_size=2 * _LONG)), dtype=float)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(row=sum_rows())
+@example(row=np.array([-0.0]))
+@example(row=np.full(_LONG - 1, -0.0))
+@example(row=np.full(_LONG, -0.0))
+@example(row=np.full(_LONG, 1e308))  # overflows to inf
+@example(row=np.tile([1e308, 1e308, -1e308], _LONG))
+@example(row=np.array([math.inf, -math.inf] * _LONG))  # inf - inf
+def test_row_sum_is_python_3_11s_sum_bit_for_bit(row):
+    got, want = model._row_sum(row), _left_to_right(row.tolist())
+    assert type(got) is float
+    assert struct.pack("d", got) == struct.pack("d", want)
+
+
+@pytest.mark.parametrize("n", [2, 2 * _LONG])
+def test_row_sum_callers_overflow_without_a_warning(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frequency_deviation([1e308] * n, 0.0, 1.0) == math.inf
+        assert math.isnan(frequency_deviation([math.inf, -math.inf] * (n // 2), 0.0, 1.0))
+        assert total_load(make_scenario([1.0], [0.0], [-1e308] * n)) == -math.inf
+
+
+def test_row_sum_callers_add_left_to_right_under_a_compensated_sum(monkeypatch):
+    # ten 0.1s add up to 0.9999999999999999 left to right and to 1.0 compensated
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    tenths, near_one = [0.1] * 10, [0.9999999999999999] + [0.0] * 9
+    assert frequency_deviation(tenths, 0.0, 1.0) == 0.9999999999999999
+    assert total_load(make_scenario([1.0], [0.0], tenths)) == 0.9999999999999999
+    s = make_scenario([1.0] * 10, [0.0] * 10, [0.0] * 10)
+    cfg = ControllerConfig(INTEGRAL, s.gain_K, s.tau)
+    runs = [simulate(s, cfg, h=0.5, t_end=2.0, events=[(1.0, loads)]).delta_f.tobytes()
+            for loads in (tenths, near_one)]
+    assert runs[0] == runs[1]
+    steps = [step_euler(integral_rhs, SimState(0.0, tuple(p), 0.0), s, cfg, 0.5, Inertial(1.0))
+             for p in (tenths, near_one)]
+    assert steps[0].delta_f == steps[1].delta_f
+
+
+# ---------------------------------------------------------------------------
 # The discrete/continuous equivalence, bit for bit
 
 @st.composite
@@ -303,12 +374,12 @@ def _reference_run(s: Scenario, pair, lambda0):
         state = initial_mom_state(s, coupling, lambda0)
         step = lambda cur: mom_step(cur, s, coupling)
         g = g * (s.beta / (s.beta + s.gain_K * s.columns.slope))
-    d = sum(s.loads)
+    d = _left_to_right(s.loads)
     p = np.array(state.p)
     while True:
         yield state, p
         state = step(state)
-        p = p + s.tau * (g * -((sum(p.tolist()) - d) / s.beta))
+        p = p + s.tau * (g * -((_left_to_right(p.tolist()) - d) / s.beta))
 
 
 def _reference_deviations(s: Scenario, pair, steps: int, lambda0) -> list:
@@ -317,7 +388,7 @@ def _reference_deviations(s: Scenario, pair, steps: int, lambda0) -> list:
     deviation, out = 0.0, []
     for state, p in itertools.islice(_reference_run(s, pair, lambda0), 1, steps + 1):
         if math.isnan(deviation) or not (math.isfinite(state.imbalance)
-                                         and math.isfinite(sum(p.tolist()))):
+                                         and math.isfinite(_left_to_right(p.tolist()))):
             deviation = math.nan
         else:
             deviation = max(deviation, *(abs(x - y) for x, y in zip(state.p, p.tolist())))
