@@ -45,6 +45,7 @@ from .experiments import (
     verify_steady_state_optimality,
 )
 from .model import (
+    Columns,
     ControllerConfig,
     ControllerKind,
     Scenario,
@@ -169,11 +170,11 @@ def _parse_generator(obj, path) -> tuple:
             _number(obj.get("p_init", 0.0), path, "p_init"))
 
 
-def _generator_columns(gens: list) -> tuple[list, np.ndarray] | None:
-    """The ids and the (4, N) float64 block a, b, c, p_init of generator entries
-    that keep every rule of ``_parse_generator``, read a column at a time; None when
-    an entry breaks a rule or holds an integer that no float holds, which
-    ``_parse_generator`` then settles entry by entry."""
+def _generator_columns(gens: list) -> tuple[list, Columns] | None:
+    """The ids and the ``Columns`` of generator entries that keep every rule of
+    ``_parse_generator``, read a column at a time; None when an entry breaks a rule
+    or holds an integer that no float holds, which ``_parse_generator`` then
+    settles entry by entry."""
     if not (set(map(type, gens)) <= _DICT and all(map(_GENERATOR_KEYS[1].issuperset, gens))):
         return None
     try:
@@ -185,12 +186,10 @@ def _generator_columns(gens: list) -> tuple[list, np.ndarray] | None:
                    [x.get("c", 0.0) for x in costs], [g.get("p_init", 0.0) for g in gens])
     except KeyError:  # a required key is missing
         return None
-    if not set(map(type, itertools.chain.from_iterable(columns))) <= _NUMBER:  # bool is not int
-        return None
-    try:
-        return ids, np.array(columns, dtype=float)
-    except OverflowError:
-        return None
+    with contextlib.suppress(OverflowError):  # an integer that no float holds
+        if set(map(type, itertools.chain.from_iterable(columns))) <= _NUMBER:  # bool is not int
+            return ids, Columns.of(*columns)
+    return None
 
 
 def _parse_scenario(obj, path) -> Scenario:
@@ -203,7 +202,7 @@ def _parse_scenario(obj, path) -> Scenario:
     if columns is None:  # entry by entry, to name the first problem in document order
         ids, *numbers = zip(*(_parse_generator(g, (*path, "generators", i))
                               for i, g in enumerate(gens)))
-        columns = ids, numbers
+        columns = ids, Columns.of(*numbers)
     return Scenario._of(*columns,
                         [_number(x, (*path, "loads"), j) for j, x in enumerate(loads)],
                         _number(obj["gain_K"], path, "gain_K"),
@@ -304,7 +303,7 @@ def serialize_scenario_file(sf: ScenarioFile) -> str:
         "scenario": {
             "generators": [  # from the ids and number columns: no generator objects
                 {"id": gen_id, "cost": {"a": a, "b": b, "c": c}, "p_init": p_init}
-                for gen_id, a, b, c, p_init in zip(s._ids, *s._numbers.tolist())
+                for gen_id, a, b, c, p_init in zip(s._ids, *s.columns.numbers.tolist())
             ],
             "loads": list(s.loads),
             "gain_K": s.gain_K,
@@ -351,7 +350,8 @@ def write_trace_csv(trace, sink) -> None:
 
 
 def _write_iteration_csv(trace: IterationTrace, sink) -> None:
-    n = trace.p.shape[1]
+    # each block's powers come from its prices, so the trace's p matrix is never built
+    n = len(trace.power(float(trace.lam[0])))
     header = ["k", "lambda"] + [f"p_{i + 1}" for i in range(n)] + ["imbalance", "delta_f"]
     sink.write(",".join(header) + "\n")
 
@@ -361,7 +361,8 @@ def _write_iteration_csv(trace: IterationTrace, sink) -> None:
         step = max(1, _CSV_BLOCK_CELLS // (n + 4))
         for i in range(0, len(k), step):
             rows = slice(i, i + step)
-            yield np.column_stack([k[rows], trace.lam[rows], trace.p[rows],
+            p = np.array(list(map(trace.power, trace.lam[rows].tolist())))
+            yield np.column_stack([k[rows], trace.lam[rows], p,
                                    trace.imbalance[rows], trace.delta_f[rows]])
 
     sink.writelines(_csv_rows(blocks()))

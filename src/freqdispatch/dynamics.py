@@ -21,6 +21,7 @@ from .model import (
     ControllerConfig,
     ControllerKind,
     Scenario,
+    _float,
     _row_sum,
     total_load,
 )
@@ -125,8 +126,11 @@ def frequency_deviation(p, d_total: float, beta: float) -> float:
 def _gains(s: Scenario, cfg: ControllerConfig) -> np.ndarray:
     """g with dP/dt = -g * delta_f: g_i = K/(2 a_i tau), times beta/(beta + K S) for PI.
 
-    One array expression on the scenario's cached columns; loads do not enter g.
+    One array expression on the scenario's columns; loads do not enter g.
     """
+    for name, value in (("gain_K", cfg.gain_K), ("tau", cfg.tau)):
+        if not 0 < _float(value) < math.inf:
+            raise ValueError(f"{name} must be finite and > 0")
     g = cfg.gain_K / (s.columns.two_a * cfg.tau)
     if cfg.kind is ControllerKind.PROPORTIONAL_INTEGRAL:
         g *= s.beta / (s.beta + cfg.gain_K * s.columns.slope)
@@ -228,7 +232,7 @@ def _check_events(events, n_loads: int, error=lambda where, why: ValueError(f"{w
     out: list[LoadEvent] = []
     for i, ev in enumerate(events):
         t_ev, loads = (ev.time, ev.loads) if isinstance(ev, LoadEvent) else ev
-        loads = tuple(float(x) for x in loads)
+        t_ev, loads = _float(t_ev), tuple(map(_float, loads))
         if not math.isfinite(t_ev) or t_ev < 0:
             raise error(f"{where}[{i}].time", "must be finite and >= 0")
         if out and t_ev < out[-1].time:

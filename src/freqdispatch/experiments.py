@@ -33,7 +33,7 @@ from .dynamics import (
     settling_time,
     simulate,
 )
-from .model import ControllerConfig, ControllerKind, Scenario, _row_sum, total_load
+from .model import Columns, ControllerConfig, ControllerKind, Scenario, _row_sum, total_load
 
 __all__ = [
     "ConvergenceReport",
@@ -53,6 +53,10 @@ __all__ = [
 # Power cells per side that check_euler_equivalence holds before it folds them
 # into its deviation: 64 KiB of float64 each.
 _CHUNK_CELLS = 8192
+
+# compare_convergence's load step, in scenario loads, and its settling band on |delta_f| (Hz)
+_LOAD_SCALE = 1.2
+_SETTLE_EPS = 1e-4
 
 
 class EquivalencePair(Enum):
@@ -203,14 +207,13 @@ def _method_summary(trace: IterationTrace, tol: float, predicted: float) -> Meth
 
 def compare_convergence(s: Scenario, alpha: float, rho: float,
                         tol: float = 1e-6, *, max_iter: int = 10000,
-                        lambda0: float | None = None, load_scale: float = 1.2,
-                        settle_eps: float = 1e-4) -> ConvergenceReport:
+                        lambda0: float | None = None) -> ConvergenceReport:
     """Run both discrete solvers and both continuous controllers.
 
     The continuous runs share everything: economic initialization at the
-    scenario load D, a load step to load_scale times D at t = tau,
-    h = tau/100, t_end = 100*tau. A diverged solver is reported in its
-    stop_reason, never raised.
+    scenario load D, a load step to load_scale = 1.2 times D at t = tau,
+    h = tau/100, t_end = 100*tau and the band settle_eps = 1e-4 Hz. A
+    diverged solver is reported in its stop_reason, never raised.
 
     The loop's coupling is rank one, so delta_f sees the fleet only
     through S = sum 1/(2 a_i) and D: it is the delta_f of one unit with
@@ -237,16 +240,16 @@ def compare_convergence(s: Scenario, alpha: float, rho: float,
     mom = _method_summary(mom_trace, tol, mom_contraction_factor(s, rho))
 
     d = total_load(s)
-    unit = Scenario._of(("equivalent",), ((0.5 / s.columns.slope,), (0.0,), (0.0,), (d,)),
+    unit = Scenario._of(("equivalent",), Columns.of([0.5 / s.columns.slope], [0.0], [0.0], [d]),
                         (d,), s.gain_K, s.beta, s.tau)
-    events = [(s.tau, (load_scale * d,))]
+    events = [(s.tau, (_LOAD_SCALE * d,))]
     h, t_end = s.tau / 100.0, 100.0 * s.tau
     model = QuasiStatic(s.beta)
     settle = {}
     for kind in (ControllerKind.INTEGRAL, ControllerKind.PROPORTIONAL_INTEGRAL):
         cfg = ControllerConfig(kind, s.gain_K, s.tau)
         trace = simulate(unit, cfg, model, h=h, t_end=t_end, events=events)
-        settle[kind] = settling_time(trace, settle_eps)
+        settle[kind] = settling_time(trace, _SETTLE_EPS)
 
     return ConvergenceReport(
         dual=dual, mom=mom,

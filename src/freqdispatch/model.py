@@ -15,7 +15,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -60,15 +59,15 @@ class Generator:
 
 
 class _GeneratorView:
-    """``Scenario.generators``. Set, it keeps the generators' ids and their numbers as
-    one read-only (4, N) float64 block with rows a, b, c and p_init, each value read
-    by ``_float``; read, it builds the generators from those once."""
+    """``Scenario.generators``. Set, it keeps the generators' ids and their ``Columns``,
+    built from their numbers, each read by ``_float``; read, it builds the generators
+    from the ids and ``columns.numbers`` once."""
 
     def __get__(self, s, owner=None) -> tuple[Generator, ...]:
         if s is None:
             raise AttributeError("generators")  # a field without a default
         if "generators" not in s.__dict__:
-            a, b, c, p_init = s._numbers.tolist()
+            a, b, c, p_init = s.columns.numbers.tolist()
             s.__dict__["generators"] = tuple(map(Generator, s._ids,
                                                  map(CostCoefficients, a, b, c), p_init))
         return s.__dict__["generators"]
@@ -79,7 +78,7 @@ class _GeneratorView:
         rows = ([c.a for c in costs], [c.b for c in costs], [c.c for c in costs],
                 [g.p_init for g in gens])
         s.__dict__.update(generators=gens, _ids=tuple([g.id for g in gens]),
-                          _numbers=_read_only(np.array([list(map(_float, row)) for row in rows])))
+                          columns=Columns.of(*[list(map(_float, row)) for row in rows]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,11 +90,10 @@ class Scenario:
     price correction, ``beta`` converts power imbalance into frequency
     deviation, and ``tau`` is both the discrete iteration step size and
     the controller time constant. The generators are kept as their ids and
-    one read-only (4, N) float64 block, rows a, b, c and p_init, which
-    validation, equality, hashing and ``columns`` read; ``generators`` is
-    built from those on first read. Each load, like each generator number, is
-    read by ``_float``, so one that is not a number or not finite becomes a
-    violation of ``validate_scenario``, not an error of the constructor.
+    ``columns``, built with the scenario, whose ``numbers`` block validation,
+    equality and hashing read; ``generators`` is built from those on first read.
+    Each load, like each generator number, is read by ``_float``, so one that is
+    not a number or not finite becomes a violation of ``validate_scenario``.
     """
 
     generators: tuple[Generator, ...] = _GeneratorView()
@@ -108,20 +106,16 @@ class Scenario:
         object.__setattr__(self, "loads", tuple(map(_float, self.loads)))
 
     @classmethod
-    def _of(cls, ids, numbers, loads, gain_K, beta, tau, columns=None) -> Scenario:
-        """The scenario of generator ``ids`` and their ``numbers`` (rows a, b, c, p_init
-        of floats or ints in the float range), built without generators; ``columns``,
-        if given, must be those numbers'."""
+    def _of(cls, ids, columns, loads, gain_K, beta, tau) -> Scenario:
+        """The scenario of generator ``ids`` and their ``columns``, without generators."""
         s = cls.__new__(cls)
-        s.__dict__.update(_ids=tuple(ids), _numbers=_read_only(np.asarray(numbers, dtype=float)),
-                          loads=tuple(map(_float, loads)), gain_K=gain_K, beta=beta, tau=tau)
-        if columns is not None:
-            s.__dict__["columns"] = columns  # where cached_property keeps its value
+        s.__dict__.update(_ids=tuple(ids), columns=columns, loads=tuple(map(_float, loads)),
+                          gain_K=gain_K, beta=beta, tau=tau)
         return s
 
     def _key(self) -> tuple:
-        return (self._ids, tuple(map(tuple, self._numbers.tolist())), self.loads, self.gain_K,
-                self.beta, self.tau)
+        return (self._ids, tuple(map(tuple, self.columns.numbers.tolist())), self.loads,
+                self.gain_K, self.beta, self.tau)
 
     def __eq__(self, other):  # the dataclass's, on the ids and numbers
         return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
@@ -129,20 +123,14 @@ class Scenario:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    @cached_property
-    def columns(self) -> Columns:
-        """The generators' ``Columns``, built on first use: a scenario file's after it
-        is validated, so that an invalid scenario raises no numpy warning."""
-        return Columns.of(*self._numbers)
-
     def replace(self, **changes) -> Scenario:
         """``dataclasses.replace``; a copy that keeps the generators builds none, and
-        shares this scenario's numbers and columns."""
+        shares this scenario's columns."""
         if "generators" in changes:
             return dataclasses.replace(self, **changes)
         fields = {"loads": self.loads, "gain_K": self.gain_K, "beta": self.beta,
                   "tau": self.tau, **changes}
-        return Scenario._of(self._ids, self._numbers, **fields, columns=self.columns)
+        return Scenario._of(self._ids, self.columns, **fields)
 
 
 # The row length from which _row_sum adds with np.add.accumulate. The Python loop costs
@@ -177,9 +165,11 @@ def _read_only(col: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Columns:
-    """Read-only float64 columns of the generators and their rank-one kernel w = 1/(2a),
-    S = ``slope`` = sum(w); elementwise they give the bits of the scalar cost functions."""
+    """Read-only float64 columns of the generators: ``numbers``, the (4, N) block whose
+    rows are a, b, c and p_init, and the rank-one kernel 2a, w = 1/(2a) and S = ``slope``
+    = sum(w); elementwise they give the bits of the scalar cost functions."""
 
+    numbers: np.ndarray
     a: np.ndarray
     two_a: np.ndarray
     b: np.ndarray
@@ -191,11 +181,15 @@ class Columns:
     @classmethod
     def of(cls, a, b, c, p_init) -> Columns:
         """The columns of four equal-length sequences of numbers, with 2a, w and S
-        derived from ``a``: the one place columns are built."""
-        a, b, c, p_init = _read_only(np.array([a, b, c, p_init], dtype=float))  # read-only rows
-        two_a = _read_only(2.0 * a)
-        w = _read_only(1.0 / two_a)
-        return cls(a, two_a, b, c, p_init, w, float(w.sum()))
+        derived from ``a``: the one place generator numbers become float64. An ``a``
+        that ``validate_scenario`` refuses gives inf, 0 or nan there, with no
+        RuntimeWarning."""
+        numbers = _read_only(np.array([a, b, c, p_init], dtype=float))
+        a, b, c, p_init = numbers  # read-only rows
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            two_a = _read_only(2.0 * a)
+            w = _read_only(1.0 / two_a)
+            return cls(numbers, a, two_a, b, c, p_init, w, float(w.sum()))
 
     def solve(self, rho: float, r) -> np.ndarray:
         """p of (diag(2a) + rho * ones) p = r in O(N) by Sherman-Morrison, y = w * r."""
@@ -297,21 +291,18 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     """Check every scenario invariant; return the (possibly empty) list of violations.
 
     Reports rather than raises so callers can surface all problems at once. The
-    generator rules are array expressions over the scenario's number block: b, c
-    and p_init finite, and 0 < w < inf for the weight w = 1/(2a), which also rejects
-    an a that is not finite or not positive. Only the rows that break a rule, or
+    generator rules are array expressions over the scenario's columns: b, c and
+    p_init finite, and 0 < w < inf for the weight w = 1/(2a), which also rejects an
+    a that is not finite or not positive. Only the rows that break a rule, or
     repeat an id, are walked, and their violations come out by generator, then field.
     """
     out: list[Violation] = []
-    ids, numbers = s._ids, s._numbers
+    ids, numbers, w = s._ids, s.columns.numbers, s.columns.w
     if len(ids) < 1:
         out.append(Violation("generators", "at least one generator required"))
 
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = 1.0 / (2.0 * numbers[0])
-        ok = np.isfinite(numbers)
-        ok[0] = (w > 0.0) & (w < math.inf)
-        slope_sum = float(w.sum())  # S as Columns.of sums it
+    ok = np.isfinite(numbers)
+    ok[0] = (w > 0.0) & (w < math.inf)
     if not ok.all() or len(set(ids)) < len(ids):
         first: dict[str, int] = {}  # id -> the first generator that holds it
         duplicates = {i for i, x in enumerate(ids) if first.setdefault(x, i) != i}
@@ -324,7 +315,7 @@ def validate_scenario(s: Scenario) -> list[Violation]:
                                          f"{why} for generator {i + 1}"))
             if i in duplicates:
                 out.append(Violation(f"generators[{i}].id", f"duplicate generator id '{ids[i]}'"))
-    if ids and not math.isfinite(slope_sum) and ok[0].all():
+    if ids and not math.isfinite(s.columns.slope) and ok[0].all():
         out.append(Violation("generators", "the total slope sum 1/(2a) must be finite"))
 
     if len(s.loads) < 1:

@@ -214,7 +214,7 @@ def test_criterion_8_spread_conservation():
 
 def test_criterion_9_pi_vs_integral_settling():
     report = compare_convergence(R, R.gain_K / R.beta, R.gain_K / R.beta,
-                                 tol=1e-6, lambda0=0.0, settle_eps=1e-4)
+                                 tol=1e-6, lambda0=0.0)
     ti, tpi = report.settling_integral, report.settling_pi
 
     # Closed form, derived from the scenario alone. compare_convergence

@@ -280,6 +280,43 @@ def test_event_rules_are_shared_with_the_file_parser(scenario_r, events, where, 
     assert str(parsed.value) == f"simulation.{where}: {message}"
 
 
+@pytest.mark.parametrize("value", [10 ** 400, None, "1.0"], ids=["huge-int", "none", "string"])
+@pytest.mark.parametrize("field", ["time", "loads"])
+def test_event_numbers_are_read_as_the_parser_reads_them(scenario_r, field, value):
+    # an int past the float range reads as inf and anything else that is not an int
+    # or float as NaN, so each breaks an event rule instead of raising OverflowError
+    # or TypeError, and a string is refused rather than converted
+    event = (value, (7.0, 5.0)) if field == "time" else (0.5, (value, 5.0))
+    want = ("events[0].time: must be finite and >= 0" if field == "time"
+            else "events[0].loads: loads must be finite")
+    for events in ([event], [LoadEvent(*event)]):
+        with pytest.raises(ValueError) as err:
+            simulate(scenario_r, _cfg(INTEGRAL, scenario_r), h=0.01, t_end=1.0, events=events)
+        assert str(err.value) == want
+
+
+_BAD_GAINS = [(0.0, 1.0, "gain_K"), (-1.0, 1.0, "gain_K"), (math.nan, 1.0, "gain_K"),
+              (math.inf, 1.0, "gain_K"), (1.0, 0.0, "tau"), (1.0, -1.0, "tau"),
+              (1.0, math.nan, "tau"), (1.0, math.inf, "tau")]
+
+
+@pytest.mark.parametrize("gain_K, tau, name", _BAD_GAINS)
+@pytest.mark.parametrize("kind", [INTEGRAL, PI])
+def test_controller_gain_and_time_constant_must_be_finite_and_positive(scenario_r, kind,
+                                                                       gain_K, tau, name):
+    # checked where the gains are derived, so no divide warning and no NaN trace
+    cfg = ControllerConfig(kind, gain_K, tau)
+    rhs = integral_rhs if kind is INTEGRAL else pi_rhs
+    state = _qs_state((7.0, 3.0), scenario_r)
+    calls = [lambda: simulate(scenario_r, cfg, h=0.01, t_end=4.0),
+             lambda: rhs(state, scenario_r, cfg),
+             lambda: step_euler(rhs, state, scenario_r, cfg, 0.01),
+             lambda: step_rk4(rhs, state, scenario_r, cfg, 0.01)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0$"):
+            call()
+
+
 def test_simulate_rejects_pi_with_inertial_model(scenario_r):
     with pytest.raises(ValueError):
         simulate(scenario_r, _cfg(PI, scenario_r), Inertial(1.5, 3.0),

@@ -237,3 +237,12 @@ def test_steady_state_randomized_economic_runs():
                          h=s.tau / 20.0, t_end=t_end, events=[(s.tau, new_loads)])
         report = verify_steady_state_optimality(trace, s, tol=1e-6)
         assert report.passed, (s.loads, report)
+
+
+@pytest.mark.parametrize("change", [{"gain_K": 0.0}, {"gain_K": math.nan}, {"tau": 0.0},
+                                    {"tau": math.inf}], ids=str)
+@pytest.mark.parametrize("pair", list(EquivalencePair))
+def test_equivalence_refuses_a_gain_or_time_constant_out_of_range(scenario_r, pair, change):
+    # the controller gains are checked where they are derived, before any step
+    with pytest.raises(ValueError, match=f"^{next(iter(change))} must be finite and > 0$"):
+        check_euler_equivalence(scenario_r.replace(**change), pair, steps=10, lambda0=0.0)

@@ -160,6 +160,21 @@ def test_validate_reports_a_slope_sum_past_the_float_range():
     assert [v.field for v in validate_scenario(s)] == ["generators[2].cost.a"]
 
 
+def test_an_invalid_slope_builds_its_columns_without_a_warning():
+    # the columns are built with the scenario, before validation, so every a that
+    # validation refuses must give inf, 0 or nan in 2a, w and S rather than warn
+    # (warnings are errors in this suite)
+    a = [0.0, -1.0, 1e308, math.nan, math.inf, 1e-310]
+    cols = make_scenario(a, [0.0] * 6, [10.0]).columns
+    assert cols.numbers[0].tolist()[:3] == a[:3] and cols.two_a[2] == math.inf
+    assert cols.w.tolist()[:3] == [math.inf, -0.5, 0.0] and cols.w[5] == math.inf
+    assert math.isnan(cols.slope)
+    assert [v.field for v in validate_scenario(make_scenario(a, [0.0] * 6, [10.0]))] == [
+        f"generators[{i}].cost.a" for i in range(6)]
+    s = make_scenario([2.8e-309] * 2, [0.0] * 2, [10.0])  # each w finite, S past the float range
+    assert s.columns.slope == math.inf
+
+
 def test_ensure_valid_raises_with_itemized_message():
     s = make_scenario([0.0], [1.0], [10.0], beta=-1.0)
     with pytest.raises(ValueError) as err:

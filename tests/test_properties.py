@@ -239,9 +239,9 @@ def test_compare_settles_as_the_fleet_does(data):
                       gain_K=data.draw(st.floats(0.05, 5.0)),
                       beta=10.0 ** data.draw(st.floats(-1.0, 2.0)),
                       tau=10.0 ** data.draw(st.floats(-1.0, 1.0)))
-    eps, coupling = 1e-4, s.gain_K / s.beta
-    report = compare_convergence(s, coupling, coupling, max_iter=1, settle_eps=eps)
-    events = [(s.tau, tuple(1.2 * x for x in s.loads))]
+    eps, coupling = experiments._SETTLE_EPS, s.gain_K / s.beta
+    report = compare_convergence(s, coupling, coupling, max_iter=1)
+    events = [(s.tau, tuple(experiments._LOAD_SCALE * x for x in s.loads))]
     for kind, got in ((INTEGRAL, report.settling_integral), (PI, report.settling_pi)):
         trace = simulate(economic_start(s), ControllerConfig(kind, s.gain_K, s.tau),
                          h=s.tau / 100.0, t_end=100.0 * s.tau, events=events)
@@ -542,7 +542,6 @@ def test_equivalence_memory_does_not_grow_with_steps():
     rng = np.random.default_rng(1000)
     s = make_scenario(rng.uniform(0.1, 5.0, 1000), rng.uniform(0.0, 20.0, 1000), [3e4])
     s = s.replace(beta=s.gain_K * aggregate_power_slope(s) / 0.8)
-    s.columns  # noqa: B018, built before tracing
     tracemalloc.start()
     try:
         report = check_euler_equivalence(s, EquivalencePair.DUAL_VS_INTEGRAL, 2000)

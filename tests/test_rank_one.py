@@ -91,9 +91,9 @@ def _count_column_builds(monkeypatch):
 def test_simulate_computes_gains_once_per_run(monkeypatch, kind):
     # One Scenario's columns serve both solvers, a closed-loop run and ten public
     # steps (four gain vectors each): they are built once, not once per use.
+    builds = _count_column_builds(monkeypatch)  # from before the scenario, which builds them
     s = make_scenario([0.5, 1.0, 2.0], [1.0, 2.0, 3.0], [6.0, 4.0],
                       p_init=[4.0, 3.0, 2.0], beta=1.5)
-    builds = _count_column_builds(monkeypatch)
     cfg = ControllerConfig(kind, s.gain_K, s.tau)
     assert mom_solve(s, 0.5).converged
     assert dual_ascent_solve(s, 0.5).converged
@@ -107,8 +107,8 @@ def test_simulate_computes_gains_once_per_run(monkeypatch, kind):
 
 @pytest.mark.parametrize("pair", list(EquivalencePair))
 def test_equivalence_computes_gains_once_per_run(monkeypatch, pair):
-    s = reference_scenario()
     builds = _count_column_builds(monkeypatch)
+    s = reference_scenario()
     report = check_euler_equivalence(s, pair, steps=50, lambda0=0.0)
     assert report.max_abs_deviation <= 1e-9
     assert builds == [2]
@@ -161,8 +161,8 @@ def test_simulate_command_builds_columns_once(monkeypatch, tmp_path, capsys, con
 def test_sweep_shares_columns_across_values(monkeypatch, param):
     # one N-wide build for the scenario, whatever K or tau; each value's settle
     # runs on the one-unit equivalent, whose columns are built once per value
-    s = _random_fleet(np.random.default_rng(12), 5)
     builds = _count_column_builds(monkeypatch)
+    s = _random_fleet(np.random.default_rng(12), 5)
     records = sweep(s, param, [0.5, 1.0, 2.0], max_iter=10)
     assert [r.settling_integral is not None for r in records] == [True] * 3
     assert builds == [5, 1, 1, 1]
