@@ -337,9 +337,10 @@ def write_trace_csv(trace, sink) -> None:
     """Write a solver or simulation trace as CSV with round-trip-exact floats.
 
     Every float cell holds exactly ``format(x, ".17g")``. Both kinds of trace
-    are written in blocks of rows, and each block's cells are turned into text
-    together by one numpy kernel, which formats alone only the rare cell it
-    cannot certify (see ``_csv_rows``).
+    are written in blocks of rows. In each block, the cells whose bits differ
+    from the cell above are turned into text together by one numpy kernel,
+    which formats alone only the rare cell it cannot certify, and every other
+    cell copies the text above it (see ``_csv_rows``).
     """
     if isinstance(trace, IterationTrace):
         _write_iteration_csv(trace, sink)
@@ -422,8 +423,12 @@ def _powers_of_ten(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache  # built on first use, not at import; read-only
 def _csv_tables() -> dict:
+    """The kernel's tables. Those read at one index are stacked, one row each, and
+    gathered together: "scale" and "layout" by exponent row j, "point" by q and
+    "keep" by the count of T's bytes kept."""
     u, e = np.uint64, _EXPONENTS
     hi, lo = _powers_of_ten(16 - e)
+    hh = hi * _SPLIT - (hi * _SPLIT - hi)
     # digit i of the groups "0000" to "9999", as axis i of a 10x10x10x10 grid
     digits = [np.arange(10).reshape([10 if j == i else 1 for j in range(4)]) for i in range(4)]
     # the last nonzero digit of each group, -64 for "0000"
@@ -438,19 +443,22 @@ def _csv_tables() -> dict:
                         dtype=u)
 
     tables = {
-        "hi": hi, "hh": hi * _SPLIT - (hi * _SPLIT - hi), "lo": lo,
+        "scale": np.stack([hi, hh, hi - hh, lo]),  # 10**(16 - e) as hi + lo, and hi's halves
         "quad": sum(x + 48 << 8 * i for i, x in enumerate(digits)).ravel().astype(u),
         "z": last + np.array([[1], [5], [9], [13]], np.int8),  # as an index among d0..d16
-        "q": np.where(fixed, np.where(neg, 16, e), 0),  # "." after d_q; at 16 it never shows
-        "kp": np.where(fixed & ~neg, e, 0),  # the last digit of the integer part
-        "prefix": np.array([int.from_bytes(b"\0" + b"0.000"[:1 - k], "little") if -4 <= k < 0
-                            else 0 for k in e.tolist()], dtype=u),
-        "exp": np.where(fixed, u(0), sum(b.astype(u) << u(8 * i)
-                                         for i, b in enumerate(exp_bytes, start=1))),
+        "layout": np.stack([
+            # the "0.000" prefix of word 0, and word 3's exponent "e+XX" or "e+XXX"
+            np.array([int.from_bytes(b"\0" + b"0.000"[:1 - k], "little") if -4 <= k < 0
+                      else 0 for k in e.tolist()], dtype=u),
+            np.where(fixed, u(0), sum(b.astype(u) << u(8 * i)
+                                      for i, b in enumerate(exp_bytes, start=1))),
+            np.where(fixed, np.where(neg, 16, e), 0),  # q: "." after d_q; at 16 it never shows
+            np.where(fixed & ~neg, e, 0),  # kp: the last digit of the integer part
+        ]).astype(u),
         "d0": np.arange(48, 58, dtype=u) << u(48), "sign": np.array([0, 45], dtype=u),
-        "sep": np.array([44 << 48, 10 << 48], dtype=u),
-        "low": words([(1 << 8 * q) - 1 for q in range(17)], 2),  # T's bytes before q
-        "dot": words([46 << 8 * q if q < 16 else 0 for q in range(17)], 2),
+        "point": np.concatenate([  # T's bytes before q, then the "." at byte q
+            words([(1 << 8 * q) - 1 for q in range(17)], 2),
+            words([46 << 8 * q if q < 16 else 0 for q in range(17)], 2)]),
         "keep": words([(1 << 8 * c) - 1 | (1 << 192) - (1 << 136) for c in range(18)], 3),
     }
     for table in tables.values():
@@ -460,13 +468,11 @@ def _csv_tables() -> dict:
 
 def _scaled(a: np.ndarray, j: np.ndarray):
     """a * 10**(16 - e) as p + r, with p = fl(a * hi) and |r| < 32."""
-    t = _csv_tables()
-    b, bh = t["hi"][j], t["hh"][j]
-    bl = b - bh
+    b, bh, bl, lo = np.take(_csv_tables()["scale"], j, axis=1)
     p = a * b
     ah = a * _SPLIT - (a * _SPLIT - a)
     al = a - ah
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * t["lo"][j]
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo
 
 
 def _significands(x: np.ndarray):
@@ -495,62 +501,104 @@ def _significands(x: np.ndarray):
 def _digit_word(eight: np.ndarray, z_hi: np.ndarray, z_lo: np.ndarray):
     """Eight digits as one word of their ASCII bytes, and the index of the last nonzero one."""
     quad = _csv_tables()["quad"]
-    hi, lo = np.divmod(eight, 10 ** 4)
+    hi = eight // 10 ** 4
+    lo = eight - hi * 10 ** 4
     return quad[hi] | quad[lo] << np.uint64(32), np.maximum(z_hi[hi], z_lo[lo])
 
 
-def _csv_block(table: np.ndarray, out: np.ndarray) -> str:
-    """One block's CSV text, laid out in out, a (table.size, 4) "<u8" buffer.
+_COMMA = np.uint64(ord(",") << 48)  # byte 6 of word 3, a cell's separator
+
+
+def _csv_cells(x: np.ndarray, out: np.ndarray) -> None:
+    """Lay out each cell of the 1-D float64 x, followed by a comma, in a row of
+    out, an (x.size, 4) "<u8" buffer.
 
     Each temporary is dropped once used, since they set the writer's peak memory.
     """
     t = _csv_tables()
-    rows, cols = table.shape
-    x = table.ravel()
     n, j, special = _significands(x)
-    d0, n = np.divmod(n, 10 ** 16)
-    out[:, 0] = t["d0"][d0] | t["prefix"][j] | t["sign"][np.signbit(x).view(np.int8)]
-    hi8, lo8 = np.divmod(n, 10 ** 8)
-    del d0, n
+    prefix, exp, q, kp = np.take(t["layout"], j, axis=1)
+    q, kp = q.view(np.int64), kp.view(np.int64)
+    del j
+    d0 = n // 10 ** 16
+    n -= d0 * 10 ** 16
+    out[:, 0] = t["d0"][d0] | prefix | t["sign"][np.signbit(x).view(np.int8)]
+    del d0, prefix
+    hi8 = n // 10 ** 8
+    n -= hi8 * 10 ** 8
     A, last_a = _digit_word(hi8, t["z"][0], t["z"][1])  # d1..d8
-    B, last_b = _digit_word(lo8, t["z"][2], t["z"][3])  # d9..d16
-    del hi8, lo8
-    last = np.maximum(np.maximum(last_a, last_b), t["kp"][j])  # the last digit shown
-    q = t["q"][j]
+    B, last_b = _digit_word(n, t["z"][2], t["z"][3])  # d9..d16
+    del hi8, n
+    last = np.maximum(np.maximum(last_a, last_b), kp)  # the last digit shown
     keep = last + (last > q)  # bytes of T kept: the point shows only before a digit
-    out[:, 3].reshape(rows, cols)[:] = t["exp"][j].reshape(rows, cols) \
-        | t["sep"][(np.arange(cols) == cols - 1).view(np.int8)]
-    del last, j
-    low, dot, mask = t["low"], t["dot"], t["keep"]
-    lowA = A & low[0][q]
-    A ^= lowA  # now the bytes from q on, which move up one byte
-    out[:, 1] = (lowA | A << np.uint64(8) | dot[0][q]) & mask[0][keep]
-    del lowA
-    lowB = B & low[1][q]
-    B ^= lowB
-    out[:, 2] = (lowB | B << np.uint64(8) | A >> np.uint64(56) | dot[1][q]) & mask[1][keep]
-    out[:, 3] |= B >> np.uint64(56) & mask[2][keep]
+    out[:, 3] = exp | _COMMA
+    del last, last_a, last_b, exp, kp
+    low_a, low_b, dot_a, dot_b = np.take(t["point"], q, axis=1)
+    mask_a, mask_b, mask_c = np.take(t["keep"], keep, axis=1)
+    del q, keep
+    low_a &= A
+    A ^= low_a  # now the bytes from q on, which move up one byte
+    out[:, 1] = (low_a | A << np.uint64(8) | dot_a) & mask_a
+    del low_a, dot_a, mask_a
+    low_b &= B
+    B ^= low_b
+    out[:, 2] = (low_b | B << np.uint64(8) | A >> np.uint64(56) | dot_b) & mask_b
+    out[:, 3] |= B >> np.uint64(56) & mask_c
     cells = out.view(np.uint8)
     for i in np.flatnonzero(special & (x != 0)):
         text = _fmt(x[i]).encode()
         cells[i, :30] = 0  # the separator stays
         cells[i, :len(text)] = np.frombuffer(text, np.uint8)
-    return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _csv_rows(blocks):
-    """Yield each 2-D float64 block as CSV text: a line per row, every cell
-    exactly ``format(x, ".17g")``, comma-separated.
+    """Yield each block as CSV text: a line per row, every cell exactly
+    ``format(x, ".17g")``, comma-separated. The blocks are 2-D float64 arrays,
+    consecutive rows of one table.
+
+    Only the cells whose bits differ from the cell above them go through the
+    kernel; for a block's first row, the cell above is in the last row of the
+    block before. Each other cell's 32-byte slot is copied, by one ``take``
+    per block, from the slot of the nearest such cell above it in its column.
+    A settled trace repeats most of its cells, and a repeated cell then costs
+    only the copy and its share of the NUL-dropping ``translate``.
 
     A cell the kernel cannot certify is formatted alone: a rounding fraction
     within 1e-6 of a tie, a non-finite value, and a nonzero |x| outside
     [1e-280, 1e280]. Signed zeros are in the kernel.
     """
-    buf = None
+    # buf holds the slots of the last row written, then those of the block's new cells
+    buf = above = None
     for table in blocks:
-        if buf is None or len(buf) < table.size:
-            buf = np.zeros((table.size, 4), np.dtype("<u8"))
-        yield _csv_block(table, buf[:table.size])
+        rows, cols = table.shape
+        size = table.size
+        if buf is None or len(buf) < cols + size:
+            grown = np.zeros((cols + size, 4), np.dtype("<u8"))
+            if buf is not None:
+                grown[:cols] = buf[:cols]
+            buf = grown
+        bits = table.view(np.uint64)
+        new = np.empty((rows, cols), bool)
+        np.not_equal(bits[1:], bits[:-1], out=new[1:])
+        new[0] = True if above is None else bits[0] != above
+        above = bits[-1].copy()
+        if new.all():  # nothing to copy: the new cells' slots are the block's
+            slots = buf[cols:cols + size]
+            _csv_cells(table.ravel(), slots)
+        else:
+            _csv_cells(table[new], buf[cols:cols + np.count_nonzero(new)])
+            # a new cell's slot in buf; a repeat's is the last row's for now, then
+            # the nearest new cell's above
+            src = np.where(new, np.cumsum(new, dtype=np.intp).reshape(rows, cols) + (cols - 1),
+                           np.arange(cols))
+            np.maximum.accumulate(src, axis=0, out=src)
+            slots = buf.take(src.ravel(), axis=0)
+            del src
+        buf[:cols] = slots[-cols:]
+        cells = slots.view(np.uint8)
+        cells[cols - 1::cols, 30] = ord("\n")  # each row ends its last cell with a newline
+        yield cells.tobytes().translate(None, b"\0").decode("ascii")
+        del slots, cells  # before the next block's kernel runs
 
 
 def _cell(x) -> str:

@@ -269,9 +269,10 @@ class Violation:
 
 
 def _float(x) -> float:
-    """``x`` as the scenario file parser reads it: an int or float as its float, an
-    int past the float range as inf or -inf, and anything else as NaN."""
-    if not isinstance(x, (int, float)):
+    """``x`` as the scenario file parser reads it: an int or float, and a numpy
+    integer or floating scalar, as its float, an int past the float range as inf or
+    -inf, and anything else as NaN. A bool is an int; a ``np.bool_`` is not."""
+    if not isinstance(x, (int, float, np.integer, np.floating)):
         return math.nan
     try:
         return float(x)
@@ -280,7 +281,7 @@ def _float(x) -> float:
 
 
 def _finite(x) -> bool:
-    """Whether ``x`` is an int or float that is finite as ``_float`` reads it."""
+    """Whether ``x`` is a number that is finite as ``_float`` reads it."""
     return math.isfinite(_float(x))
 
 

@@ -295,6 +295,18 @@ def test_event_numbers_are_read_as_the_parser_reads_them(scenario_r, field, valu
         assert str(err.value) == want
 
 
+@pytest.mark.parametrize("kind", [np.int64, np.uint8, np.float32])
+def test_numpy_event_numbers_are_read_as_their_floats(scenario_r, kind):
+    # as an int or float is: a numpy integer or floating scalar is its float
+    cfg = _cfg(INTEGRAL, scenario_r)
+    want = simulate(scenario_r, cfg, h=0.01, t_end=2.0, events=[(1.0, (8.0, 4.0))])
+    event = (kind(1), tuple(np.array([8, 4], dtype=kind)))
+    for events in ([event], [LoadEvent(*event)]):
+        got = simulate(scenario_r, cfg, h=0.01, t_end=2.0, events=events)
+        assert got.events == want.events and all(type(x) is float for x in got.events[0].loads)
+        assert got.p.tobytes() == want.p.tobytes()
+
+
 _BAD_GAINS = [(0.0, 1.0, "gain_K"), (-1.0, 1.0, "gain_K"), (math.nan, 1.0, "gain_K"),
               (math.inf, 1.0, "gain_K"), (1.0, 0.0, "tau"), (1.0, -1.0, "tau"),
               (1.0, math.nan, "tau"), (1.0, math.inf, "tau")]

@@ -125,8 +125,8 @@ def test_validate_reports_nonfinite_values():
     assert fields == {"generators[1].cost.b", "loads[1]"}
 
 
-@pytest.mark.parametrize("load", [10 ** 400, -10 ** 400, None, "1.0"],
-                         ids=["10**400", "-10**400", "None", "string"])
+@pytest.mark.parametrize("load", [10 ** 400, -10 ** 400, None, "1.0", np.bool_(True)],
+                         ids=["10**400", "-10**400", "None", "string", "np.bool_"])
 def test_validate_reports_a_load_that_is_not_a_finite_number(load):
     # read as the file parser reads numbers: past the float range as inf, else NaN
     gens = (Generator("G1", CostCoefficients(1.0, 0.0)),)
@@ -135,6 +135,17 @@ def test_validate_reports_a_load_that_is_not_a_finite_number(load):
         j = len(s.loads) - 1
         assert [str(v) for v in validate_scenario(s)] == [
             f"loads[{j}]: load {j + 1} must be finite"]
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint8, np.float32, np.float16, np.longdouble])
+def test_numpy_scalars_are_read_as_their_floats(kind):
+    # as an int or float is: a numpy integer or floating scalar is its float
+    floats = make_scenario([1.0, 2.0], [2.0, 4.0], [6.0, 4.0], c=[0.0, 1.0], p_init=[3.0, 5.0])
+    gens = tuple(Generator(g.id, CostCoefficients(*map(kind, (g.cost.a, g.cost.b, g.cost.c))),
+                           kind(g.p_init)) for g in floats.generators)
+    s = Scenario(gens, tuple(np.array(floats.loads, dtype=kind)), 1.0, 1.0, 1.0)
+    assert s == floats and s.generators == floats.generators and validate_scenario(s) == []
+    assert all(type(x) is float for x in s.loads)
 
 
 def test_validate_reports_empty_collections():

@@ -18,6 +18,7 @@ import os
 import struct
 import tempfile
 import tracemalloc
+import unittest.mock
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -626,7 +627,7 @@ def _validate_row_by_row(s: Scenario) -> list[Violation]:
     def finite(x):  # an int that rounds to 2**1024 or past is infinite, as the parser reads it
         if isinstance(x, int) and abs(x) >= 2 ** 1024 - 2 ** 970:
             return False
-        return isinstance(x, (int, float)) and math.isfinite(x)
+        return isinstance(x, (int, float, np.integer, np.floating)) and math.isfinite(x)
 
     out = [] if s.generators else [Violation("generators", "at least one generator required")]
     seen = set()
@@ -660,6 +661,7 @@ _EDGE_FLOATS = st.sampled_from([0.0, -0.0, -1.0, 1e308, 8.988465674311579e307,
 _FIELD_VALUES = st.one_of(
     _EDGE_FLOATS, st.floats(), st.integers(-3, 10 ** 6), st.booleans(),
     st.floats(0.1, 5.0).map(np.float64), st.floats(0.1, 5.0).map(np.float32),
+    st.integers(-3, 10 ** 6).map(np.int64),
     st.sampled_from([None, "1.0", 10 ** 400, -10 ** 400]))
 
 
@@ -808,6 +810,67 @@ def test_csv_kernel_matches_format_on_listed_cases(sign, cols):
     _kernel_matches_format(values + [0.0] * (-len(values) % cols), cols)
 
 
+def _csv_blocks(table):
+    """The table cut into blocks of rows as the writers cut theirs."""
+    step = max(1, cli._CSV_BLOCK_CELLS // table.shape[1])
+    return [table[i:i + step] for i in range(0, len(table), step)]
+
+
+# A cell with the bits of the cell above is copied, not formatted. These are
+# drawn under themselves and under their twins: -0.0 under 0.0, or a NaN under a
+# NaN of other bits, must not copy; 1e-300, the tie 3 / 2**25 and the non-finite
+# values are formatted alone where they are new.
+_QUIET_NAN_1 = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+_TWINS = [0.0, -0.0, math.nan, -math.nan, _QUIET_NAN_1, math.inf, -math.inf,
+          1e-300, -1e-300, 3 / 2 ** 25, 5e-324, 1.5, 0.1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_csv_rows_copy_only_cells_equal_to_the_one_above(data):
+    cols = data.draw(st.integers(1, 7))
+    step = max(1, cli._CSV_BLOCK_CELLS // cols)  # rows per block
+    rows = data.draw(st.integers(step + 2, 2 * step + 2))  # two blocks and part of a third
+    cells = st.one_of(st.sampled_from(_TWINS), st.floats(), _BIT_PATTERNS)
+    patterns = data.draw(st.lists(st.lists(cells, min_size=cols, max_size=cols),
+                                  min_size=1, max_size=4))
+    # runs of repeated drawn rows; none starts next to the first block boundary
+    starts = sorted(data.draw(st.sets(st.integers(1, rows - 1).filter(
+        lambda r: not step - 1 <= r <= step + 1), max_size=5)))
+    which = data.draw(st.lists(st.integers(0, len(patterns) - 1),
+                               min_size=len(starts) + 1, max_size=len(starts) + 1))
+    table = np.repeat(np.array([patterns[w] for w in which], dtype=np.float64),
+                      np.diff([0, *starts, rows]), axis=0)
+    # single-cell edits, many of them on the rows either side of a block boundary
+    near = st.sampled_from([r for b in range(step, rows, step) for r in (b - 1, b)])
+    for _ in range(data.draw(st.integers(0, 8))):
+        row = data.draw(st.one_of(near, st.integers(0, rows - 1)))
+        table[row, data.draw(st.integers(0, cols - 1))] = data.draw(cells)
+    col = data.draw(st.integers(0, cols - 1))
+    table[step, col] = table[step - 1, col]  # a repeat crosses the first block boundary
+    with unittest.mock.patch.object(cli, "_csv_cells", side_effect=cli._csv_cells) as kernel:
+        text = "".join(cli._csv_rows(_csv_blocks(table)))
+    bits = table.view(np.uint64)
+    assert sum(call.args[0].size for call in kernel.call_args_list) \
+        == table.size - np.count_nonzero(bits[1:] == bits[:-1])
+    assert text == "".join(",".join(format(x, ".17g") for x in row) + "\n"
+                           for row in table.tolist())
+
+
+@pytest.mark.parametrize("pair", [(0.0, -0.0), (math.nan, -math.nan), (math.nan, _QUIET_NAN_1),
+                                  (math.nan, math.nan), (1e-300, 1e-300),
+                                  (3 / 2 ** 25, 3 / 2 ** 25), (-math.inf, -math.inf)])
+@pytest.mark.parametrize("across", [False, True])
+def test_csv_rows_on_a_cell_under_its_twin(pair, across):
+    # each column holds one of the pair, then from the row after `row` on the other,
+    # inside the first block or across its end
+    step = cli._CSV_BLOCK_CELLS // 2  # rows per block at two columns
+    row = step - 1 if across else step // 2
+    table = np.array([pair] * (row + 1) + [pair[::-1]] * (2 * step - row))
+    expected = "".join(",".join(format(x, ".17g") for x in r) + "\n" for r in table.tolist())
+    assert "".join(cli._csv_rows(_csv_blocks(table))) == expected
+
+
 def _reference_csv_tables() -> dict:
     """Every table of the CSV kernel written out entry by entry: the powers of ten
     with ``Fraction``, the digit groups and byte layouts from their text."""
@@ -841,7 +904,6 @@ def _reference_csv_tables() -> dict:
         "exp": np.array([exponent(e) for e in exps], u8),
         "d0": np.array([(48 + d) << 48 for d in range(10)], u8),
         "sign": np.array([0, ord("-")], u8),
-        "sep": np.array([ord(",") << 48, ord("\n") << 48], u8),
         "low": np.array(words([(1 << 8 * q) - 1 for q in range(17)], 2), u8),
         "dot": np.array(words([ord(".") << 8 * q if q < 16 else 0 for q in range(17)], 2), u8),
         "keep": np.array(words([(1 << 8 * c) - 1 | (1 << 192) - (1 << 136) for c in range(18)], 3),
@@ -850,7 +912,16 @@ def _reference_csv_tables() -> dict:
 
 
 def test_csv_tables_match_an_exact_reference():
-    tables, reference = cli._csv_tables(), _reference_csv_tables()
+    # the kernel stacks the tables it reads at one index, a row each: by exponent
+    # row, by the point's place q and by the count of bytes kept ("keep" already is)
+    tables, ref = cli._csv_tables(), _reference_csv_tables()
+    stacked = {
+        "scale": np.stack([ref["hi"], ref["hh"], ref["hi"] - ref["hh"], ref["lo"]]),
+        "layout": np.stack([ref["prefix"], ref["exp"], *(ref[k].astype(np.uint64)
+                                                         for k in ("q", "kp"))]),
+        "point": np.concatenate([ref["low"], ref["dot"]]),
+    }
+    reference = {k: ref[k] for k in ("quad", "z", "d0", "sign", "keep")} | stacked
     assert tables.keys() == reference.keys()
     for name, want in reference.items():
         got = tables[name]
