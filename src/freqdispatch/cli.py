@@ -326,7 +326,17 @@ def serialize_scenario_file(sf: ScenarioFile) -> str:
 # ---------------------------------------------------------------------------
 # CSV traces
 
-_CSV_BLOCK_CELLS = 4096  # CSV cells formatted per block: a few hundred kB
+# Cells per CSV block, at most: _csv_rows cuts every trace into blocks of as many
+# whole rows as fit. The size comes from a cost model, measured on 2 x86 cores
+# with numpy 2.4.6 by writing a 1000-unit trace at 2,048 to 16,384 cells a block.
+# A block costs about 75 us whatever its size, 60 us of it the some 60 numpy calls
+# of one _csv_cells call, and a cell about 95 ns, 55 ns of it in the kernel. So
+# the fixed part adds 18 ns a cell at 4,096 cells and under 5 ns at 16,384.
+# The ceiling is memory: a block's temporaries come to about 170 B a cell, 2.8 MB
+# under tracemalloc for that trace. Past this size they outgrow a core's 2 MiB L2,
+# and a float64 array of the block passes 128 KiB, glibc's mmap threshold: at
+# 32,768 cells the 1000-unit trace was written no faster and a 2-unit one slower.
+_CSV_BLOCK_CELLS = 16384
 
 
 def _fmt(x: float) -> str:
@@ -358,32 +368,26 @@ def _write_iteration_csv(trace: IterationTrace, sink) -> None:
 
     k = np.arange(len(trace.lam), dtype=np.float64)  # a count far below 2**53 prints as str(k)
 
-    def blocks():  # one block of rows in memory at a time
-        step = max(1, _CSV_BLOCK_CELLS // (n + 4))
-        for i in range(0, len(k), step):
-            rows = slice(i, i + step)
-            p = np.array(list(map(trace.power, trace.lam[rows].tolist())))
-            yield np.column_stack([k[rows], trace.lam[rows], p,
-                                   trace.imbalance[rows], trace.delta_f[rows]])
+    def block(rows: slice) -> np.ndarray:
+        p = np.array(list(map(trace.power, trace.lam[rows].tolist())))
+        return np.column_stack([k[rows], trace.lam[rows], p,
+                                trace.imbalance[rows], trace.delta_f[rows]])
 
-    sink.writelines(_csv_rows(blocks()))
+    sink.writelines(_csv_rows(len(k), n + 4, block))
 
 
 def _write_simulation_csv(trace: SimulationTrace, sink) -> None:
-    cols = trace.scenario.columns
-    n = len(cols.a)
+    columns = trace.scenario.columns
+    n = len(columns.a)
     header = ["t"] + [f"p_{i + 1}" for i in range(n)] + ["delta_f"] \
         + [f"marginal_cost_{i + 1}" for i in range(n)]
     sink.write(",".join(header) + "\n")
 
-    def blocks():  # one block of rows in memory at a time
-        step = max(1, _CSV_BLOCK_CELLS // (2 * n + 2))
-        for i in range(0, len(trace.t), step):
-            p = trace.p[i:i + step]
-            yield np.column_stack([trace.t[i:i + step], p, trace.delta_f[i:i + step],
-                                   cols.marginal(p)])
+    def block(rows: slice) -> np.ndarray:
+        p = trace.p[rows]
+        return np.column_stack([trace.t[rows], p, trace.delta_f[rows], columns.marginal(p)])
 
-    sink.writelines(_csv_rows(blocks()))
+    sink.writelines(_csv_rows(len(trace.t), 2 * n + 2, block))
 
 
 # The CSV float kernel. A nonzero cell x with 1e-280 <= |x| <= 1e280 has a
@@ -551,10 +555,12 @@ def _csv_cells(x: np.ndarray, out: np.ndarray) -> None:
         cells[i, :len(text)] = np.frombuffer(text, np.uint8)
 
 
-def _csv_rows(blocks):
-    """Yield each block as CSV text: a line per row, every cell exactly
-    ``format(x, ".17g")``, comma-separated. The blocks are 2-D float64 arrays,
-    consecutive rows of one table.
+def _csv_rows(rows: int, cols: int, block):
+    """Yield a table of rows x cols float64 cells as CSV text, block by block: a
+    line per row, every cell exactly ``format(x, ".17g")``, comma-separated.
+    ``block(s)`` returns the table's rows ``s``, a slice, as a 2-D array. A block
+    is as many whole rows as fit in ``_CSV_BLOCK_CELLS`` cells, and at least one,
+    so only one block of the table is in memory at a time.
 
     Only the cells whose bits differ from the cell above them go through the
     kernel; for a block's first row, the cell above is in the last row of the
@@ -567,10 +573,11 @@ def _csv_rows(blocks):
     within 1e-6 of a tie, a non-finite value, and a nonzero |x| outside
     [1e-280, 1e280]. Signed zeros are in the kernel.
     """
+    step = max(1, _CSV_BLOCK_CELLS // cols)
     # buf holds the slots of the last row written, then those of the block's new cells
     buf = above = None
-    for table in blocks:
-        rows, cols = table.shape
+    for i in range(0, rows, step):
+        table = block(slice(i, i + step))
         size = table.size
         if buf is None or len(buf) < cols + size:
             grown = np.zeros((cols + size, 4), np.dtype("<u8"))
@@ -578,7 +585,7 @@ def _csv_rows(blocks):
                 grown[:cols] = buf[:cols]
             buf = grown
         bits = table.view(np.uint64)
-        new = np.empty((rows, cols), bool)
+        new = np.empty(table.shape, bool)
         np.not_equal(bits[1:], bits[:-1], out=new[1:])
         new[0] = True if above is None else bits[0] != above
         above = bits[-1].copy()
@@ -589,7 +596,7 @@ def _csv_rows(blocks):
             _csv_cells(table[new], buf[cols:cols + np.count_nonzero(new)])
             # a new cell's slot in buf; a repeat's is the last row's for now, then
             # the nearest new cell's above
-            src = np.where(new, np.cumsum(new, dtype=np.intp).reshape(rows, cols) + (cols - 1),
+            src = np.where(new, np.cumsum(new, dtype=np.intp).reshape(new.shape) + (cols - 1),
                            np.arange(cols))
             np.maximum.accumulate(src, axis=0, out=src)
             slots = buf.take(src.ravel(), axis=0)
@@ -763,8 +770,11 @@ def _solver_opts(args, s: Scenario, block: SolverOptions | None) -> SolverOption
 def _csv_file(args):
     """The ``--out-csv`` file, opened for writing, or a null context; a command opens
     it once its result is computed and before it prints the summary, so a path that
-    cannot be opened fails the command with nothing on stdout."""
-    return open(args.out_csv, "w", encoding="utf-8") if args.out_csv else contextlib.nullcontext()
+    cannot be opened fails the command with nothing on stdout. Lines end in "\n" on
+    every platform: newline="" turns off the text layer's newline translation."""
+    if not args.out_csv:
+        return contextlib.nullcontext()
+    return open(args.out_csv, "w", encoding="utf-8", newline="")
 
 
 def _cmd_validate(args) -> int:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tracemalloc
+import unittest.mock
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from freqdispatch import (
     Generator,
     QuasiStatic,
     SimulationTrace,
+    aggregate_power_slope,
     dual_ascent_solve,
     simulate,
 )
@@ -30,7 +32,8 @@ from freqdispatch.cli import (
 from freqdispatch.dispatch import IterState, IterationTrace
 from freqdispatch.model import ControllerConfig
 
-from conftest import make_scenario, reference_scenario, reference_simulation_csv, strict_json
+from conftest import (economic_start, make_scenario, reference_scenario, reference_simulation_csv,
+                      strict_json)
 
 REFERENCE_JSON = {
     "format_version": 1,
@@ -200,6 +203,63 @@ def test_iteration_csv_keeps_one_block_of_power_rows(tmp_path, capsys):
     assert _peak_bytes(tmp_path, capsys, argv) < 8_000_000
     with open(csv_path) as f:
         assert sum(1 for _ in f) == 502  # header and one row per state
+
+
+def _fleet_trace() -> SimulationTrace:
+    """A 1000-unit PI run from the economic dispatch, 201 samples with a load step."""
+    rng = np.random.default_rng(1000)
+    s = make_scenario(rng.uniform(0.1, 5.0, 1000), rng.uniform(0.0, 20.0, 1000), [3e4])
+    s = economic_start(s.replace(beta=s.gain_K * aggregate_power_slope(s) / 0.8))
+    cfg = ControllerConfig(ControllerKind.PROPORTIONAL_INTEGRAL, s.gain_K, s.tau)
+    return simulate(s, cfg, h=0.25, t_end=50.0, events=[(1.0, (3.3e4,))])
+
+
+def test_simulation_csv_blocks_amortise_the_kernel_call():
+    # Each _csv_cells call pays some 60 us of numpy dispatch whatever its size, so
+    # a block holds at least 8 of this trace's 2,002-cell rows, not 2.
+    trace = _fleet_trace()
+    rows, per_block = len(trace.t), cli._CSV_BLOCK_CELLS // 2002
+    assert rows == 201 and per_block >= 8
+    with unittest.mock.patch.object(cli, "_csv_cells", side_effect=cli._csv_cells) as kernel:
+        write_trace_csv(trace, io.StringIO())
+    assert 0 < kernel.call_count <= -(-rows // per_block)
+
+
+def test_simulation_csv_keeps_one_block_of_rows(tmp_path):
+    # One block of this trace peaks near 2.8 MB. All 201 rows would take 3.2 MB as
+    # floats, 12.9 MB as 32-byte slots and 7.6 MB as text.
+    trace = _fleet_trace()
+    with open(tmp_path / "trace.csv", "w", encoding="utf-8", newline="") as sink:
+        tracemalloc.start()
+        try:
+            write_trace_csv(trace, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4_000_000
+    with open(tmp_path / "trace.csv") as f:
+        assert sum(1 for _ in f) == 202  # header and one row per sample
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--controller", "pi"],
+    ["iterate", "--method", "mom"],
+    ["sweep", "--param", "K", "--values", "0.5", "1.5"],
+], ids=lambda argv: argv[0])
+def test_out_csv_lines_end_in_a_bare_newline(tmp_path, capsys, monkeypatch, scenario_file, argv):
+    # open as on Windows, where a text file opened without newline="" writes each
+    # "\n" as "\r\n"
+    def windows_open(file, mode="r", *args, newline=None, **kwargs):
+        if "w" in mode and newline is None:
+            newline = "\r\n"
+        return open(file, mode, *args, newline=newline, **kwargs)
+
+    monkeypatch.setattr(cli, "open", windows_open, raising=False)
+    path = tmp_path / "out.csv"
+    assert run_command([argv[0], scenario_file, *argv[1:], "--out-csv", str(path)]) == 0
+    capsys.readouterr()
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and b"\r" not in data
 
 
 def _peak_bytes(tmp_path, capsys, argv) -> int:

@@ -765,13 +765,54 @@ def test_simulation_csv_row_wider_than_a_block(economic):
     assert _csv(trace) == reference_simulation_csv(trace)
 
 
+@st.composite
+def block_traces(draw):
+    """A simulation trace, or a dual or MoM solver trace, of N in 20..60 units
+    started on or off the economic dispatch, over one or two blocks of the
+    shipped size and at most one more row."""
+    n = draw(st.integers(20, 60))  # a shipped block holds at most 682 rows
+    s = make_scenario(draw(_floats(0.1, 5.0, n)), draw(_floats(-20.0, 20.0, n)),
+                      draw(_floats(1.0, 50.0, 2)), p_init=draw(_floats(-10.0, 30.0, n)),
+                      beta=draw(st.floats(0.5, 5.0)), tau=draw(st.floats(0.2, 5.0)))
+    if draw(st.booleans()):
+        s = economic_start(s)
+    simulation = draw(st.booleans())
+    step = max(1, cli._CSV_BLOCK_CELLS // (2 * n + 2 if simulation else n + 4))
+    rows = draw(st.integers(0, 1)) * step + draw(st.integers(2, step + 1))
+    if simulation:
+        h = s.tau * draw(st.floats(0.01, 1.0))
+        cfg = ControllerConfig(draw(st.sampled_from([INTEGRAL, PI])), s.gain_K, s.tau)
+        return simulate(s, cfg, h=h, t_end=(rows - 1) * h,
+                        events=[(draw(st.integers(0, rows - 1)) * h, (40.0, 25.0))])
+    # a small step, so the run converges slowly
+    coupling = draw(st.floats(1e-3, 0.05)) * stability_bound_alpha(s)
+    solve = draw(st.sampled_from([dual_ascent_solve, mom_solve]))
+    return solve(s, coupling, tol=1e-300, max_iter=rows - 1)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(trace=block_traces())
+def test_trace_csv_does_not_depend_on_the_block_size(trace):
+    # blocks of one row, one row (7 cells hold no row of 4 or more), 4,096 cells
+    # and the shipped size cut the trace at different rows
+    expected = _csv(trace)
+    for cells in (1, 7, 4096, cli._CSV_BLOCK_CELLS):
+        with unittest.mock.patch.object(cli, "_CSV_BLOCK_CELLS", cells):
+            assert _csv(trace) == expected, cells
+
+
 # ---------------------------------------------------------------------------
 # The CSV float kernel against format(x, ".17g")
+
+def _csv_text(table) -> str:
+    """The table's CSV text, cut into blocks as the trace writers cut theirs."""
+    return "".join(cli._csv_rows(*table.shape, table.__getitem__))
+
 
 def _kernel_matches_format(values, cols):
     table = np.array(values, dtype=np.float64).reshape(-1, cols)
     expected = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in table.tolist())
-    assert "".join(cli._csv_rows([table])) == expected
+    assert _csv_text(table) == expected
 
 
 _BIT_PATTERNS = st.integers(0, 2 ** 64 - 1).map(
@@ -810,12 +851,6 @@ def test_csv_kernel_matches_format_on_listed_cases(sign, cols):
     _kernel_matches_format(values + [0.0] * (-len(values) % cols), cols)
 
 
-def _csv_blocks(table):
-    """The table cut into blocks of rows as the writers cut theirs."""
-    step = max(1, cli._CSV_BLOCK_CELLS // table.shape[1])
-    return [table[i:i + step] for i in range(0, len(table), step)]
-
-
 # A cell with the bits of the cell above is copied, not formatted. These are
 # drawn under themselves and under their twins: -0.0 under 0.0, or a NaN under a
 # NaN of other bits, must not copy; 1e-300, the tie 3 / 2**25 and the non-finite
@@ -849,7 +884,7 @@ def test_csv_rows_copy_only_cells_equal_to_the_one_above(data):
     col = data.draw(st.integers(0, cols - 1))
     table[step, col] = table[step - 1, col]  # a repeat crosses the first block boundary
     with unittest.mock.patch.object(cli, "_csv_cells", side_effect=cli._csv_cells) as kernel:
-        text = "".join(cli._csv_rows(_csv_blocks(table)))
+        text = _csv_text(table)
     bits = table.view(np.uint64)
     assert sum(call.args[0].size for call in kernel.call_args_list) \
         == table.size - np.count_nonzero(bits[1:] == bits[:-1])
@@ -868,7 +903,7 @@ def test_csv_rows_on_a_cell_under_its_twin(pair, across):
     row = step - 1 if across else step // 2
     table = np.array([pair] * (row + 1) + [pair[::-1]] * (2 * step - row))
     expected = "".join(",".join(format(x, ".17g") for x in r) + "\n" for r in table.tolist())
-    assert "".join(cli._csv_rows(_csv_blocks(table))) == expected
+    assert _csv_text(table) == expected
 
 
 def _reference_csv_tables() -> dict:
