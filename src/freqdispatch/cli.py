@@ -14,13 +14,15 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .dispatch import (
     IterationTrace,
     StopReason,
+    _check_grid_step,
     analytic_dispatch,
     brute_force_dispatch,
     dual_ascent_solve,
@@ -210,15 +212,16 @@ def _parse_scenario(obj, path) -> Scenario:
                         _number(obj["tau"], path, "tau"))
 
 
-def _solver_problem(opts: SolverOptions) -> tuple[str, str] | None:
-    """The first solver rule ``opts`` breaks, as (field, message), or None."""
+def _solver_problem(opts: dict) -> tuple[str, str] | None:
+    """The first solver rule the ``SolverOptions`` fields ``opts`` break, as (field,
+    message), or None."""
     for name in ("alpha", "rho", "tol", "lambda0"):
-        value = getattr(opts, name)
+        value = opts[name]
         if value is not None and not math.isfinite(value):
             return name, "must be finite"
         if value is not None and value <= 0 and name != "lambda0":
             return name, "must be > 0"
-    return ("max_iter", "must be >= 1") if opts.max_iter < 1 else None
+    return ("max_iter", "must be >= 1") if opts["max_iter"] < 1 else None
 
 
 def _parse_solver(obj, path) -> SolverOptions:
@@ -230,7 +233,7 @@ def _parse_solver(obj, path) -> SolverOptions:
         max_iter=_integer(obj.get("max_iter", 10000), path, "max_iter"),
         lambda0=_number(obj["lambda0"], path, "lambda0") if "lambda0" in obj else None,
     )
-    problem = _solver_problem(opts)
+    problem = _solver_problem(vars(opts))
     if problem is not None:
         raise ScenarioFileError(_where((*path, problem[0])), problem[1])
     return opts
@@ -643,13 +646,27 @@ def _json(x, indent: str = "") -> str:
     tuples as lists, the enums above as their values, a dataclass (a report) as the
     object of its fields in declaration order and a non-finite float as null (JSON
     has no Infinity, for settling that never happens, and no NaN). A list of plain
-    finite floats is written in one join."""
+    finite floats is written in one join. A scalar of exact type float, str, int,
+    bool or None is written by the function json.dumps itself uses for it: _encode
+    builds a C encoder on every call, which costs several times as much."""
+    cls = type(x)
+    if cls is float:
+        return float.__repr__(x) if math.isfinite(x) else "null"
+    if cls is str:
+        return encode_basestring_ascii(x)
+    if cls is int:
+        return int.__repr__(x)
+    if cls is bool:
+        return "true" if x else "false"
+    if x is None:
+        return "null"
     inner = indent + "  "
     if isinstance(x, dict):
         if not x:
             return "{}"
         brackets = "{}"
-        items = (f"{_encode(k if isinstance(k, str) else _encode(k))}: {_json(v, inner)}"
+        items = (f"{encode_basestring_ascii(k if isinstance(k, str) else _encode(k))}: "
+                 f"{_json(v, inner)}"
                  for k, v in x.items())  # a key that is no string: its JSON text, quoted
     elif isinstance(x, (list, tuple)):
         if not x:
@@ -687,7 +704,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache  # built once, on first use; parsing leaves it unchanged
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The full parser, and the subcommands' own parsers by name."""
     parser = _Parser(prog="freqdispatch",
                      description="Economic dispatch solvers and the equivalent "
                                  "secondary frequency controllers.")
@@ -745,26 +763,38 @@ def _build_parser() -> _Parser:
                         "starts, not by --steps")
     p.add_argument("--lambda0", type=float)
 
-    return parser
+    return parser, sub.choices
 
 
 def _read_file(path: str) -> ScenarioFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse_scenario_file(fh.read())
+    """The scenario file at ``path``, read as text mode reads it: UTF-8, with "\r\n"
+    and then "\r" turned into "\n". Read as bytes and decoded whole, which is
+    faster; the text, never the bytes, goes to json.loads, which would take a
+    byte-order mark or UTF-16 in bytes."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_scenario_file(text)
+
+
+_NO_SOLVER_BLOCK = SolverOptions()
 
 
 def _solver_opts(args, s: Scenario, block: SolverOptions | None) -> SolverOptions:
     """The solver block with the command's flags merged over it, checked by the
     block's rules; alpha and rho default to K/beta."""
-    flags = {name: value for name in ("alpha", "rho", "tol", "max_iter", "lambda0")
-             if (value := getattr(args, name, None)) is not None}
-    opts = replace(block if block is not None else SolverOptions(), **flags)
+    base = vars(block if block is not None else _NO_SOLVER_BLOCK)  # read, never written
+    opts = {name: base[name] if (value := getattr(args, name, None)) is None else value
+            for name in base}
     problem = _solver_problem(opts)
     if problem is not None:
         raise ValueError(f"--{problem[0].replace('_', '-')} {problem[1]}")
     coupling = s.gain_K / s.beta
-    return replace(opts, alpha=coupling if opts.alpha is None else opts.alpha,
-                   rho=coupling if opts.rho is None else opts.rho)
+    for name in ("alpha", "rho"):
+        if opts[name] is None:
+            opts[name] = coupling
+    return SolverOptions(**opts)
 
 
 def _csv_file(args):
@@ -789,6 +819,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_dispatch(args) -> int:
     sf = _read_file(args.file)
+    _check_grid_step(args.grid_step)  # also without --oracle, which alone reads it
     sol = analytic_dispatch(sf.scenario)
     payload = {"lambda_star": sol.lambda_star, "p": list(sol.p),
                "total_cost": sol.total_cost}
@@ -906,10 +937,17 @@ _HANDLERS = {
 
 
 def run_command(argv) -> int:
-    """Run one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
+    """Run one CLI invocation; returns the process exit code.
+
+    A subcommand's arguments go straight to its own parser, as the full parser
+    would hand them on; the full parser reads only an argv that names none."""
+    argv = list(argv)
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = parser.parse_args(argv)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -47,9 +47,16 @@ __all__ = [
 # declared divergent; without the guard an unstable step size overflows.
 DIVERGENCE_FACTOR = 1e9
 
-# Largest grid brute_force_dispatch builds per output (8 MB of float64), so a
-# tiny grid_step is refused instead of exhausting memory.
+# Most grid points brute_force_dispatch searches per output, so a tiny grid_step
+# is refused instead of running for seconds. The grid is searched a block of
+# _GRID_BLOCK points at a time, so its memory does not grow with the count.
 MAX_GRID_POINTS = 1_000_000
+
+# Points per block of the oracle's grid search: each float64 array of a block is
+# 64 KiB, under glibc's 128 KiB mmap threshold, and all of them together well under
+# 1 MB (tracemalloc), where the whole grid at MAX_GRID_POINTS took 40 MB at N = 2
+# and 96 MB at N = 3.
+_GRID_BLOCK = 8192
 
 # At N = 4 the oracle's time grows with the square of the point count (one
 # tail search per point; 8,001 points take about 2.5 s on one x86 core), so its
@@ -142,23 +149,29 @@ def _quad(a: float, b: float, x: np.ndarray) -> np.ndarray:
     return a * x * x + b * x
 
 
+def _check_grid_step(grid_step: float) -> None:
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise ValueError("grid_step must be finite and > 0")
+
+
 def brute_force_dispatch(s: Scenario, grid_step: float) -> DispatchSolution:
     """Exhaustive grid-search oracle, independent of the closed form.
 
     The first N-1 outputs range over a uniform grid on [-2D, 2D]; the last
     output is fixed by the balance constraint. Returns the grid point of
-    minimum total cost. Exponential in N, so N > 4 is refused, and so is a
-    grid of more than MAX_GRID_POINTS points (MAX_GRID_POINTS_N4 at N = 4,
-    where the time grows with the square of the point count). The reported
-    price is the mean of the marginal costs at the grid optimum (the grid
-    point itself carries no exact multiplier).
+    minimum total cost, the first one in grid order on a tie. Exponential in N,
+    so N > 4 is refused, and so is a grid of more than MAX_GRID_POINTS points
+    (MAX_GRID_POINTS_N4 at N = 4, where the time grows with the square of the
+    point count). The grid is searched in blocks of _GRID_BLOCK points, so the
+    search holds well under 1 MB whatever the count. The reported price is the
+    mean of the marginal costs at the grid optimum (the grid point itself carries
+    no exact multiplier).
     """
     cols = s.columns
     n = len(cols.a)
     if n > 4:
         raise ValueError("brute_force_dispatch supports at most 4 generators")
-    if not (math.isfinite(grid_step) and grid_step > 0):
-        raise ValueError("grid_step must be finite and > 0")
+    _check_grid_step(grid_step)
 
     d = total_load(s)
     a, b = cols.a, cols.b
@@ -174,57 +187,82 @@ def brute_force_dispatch(s: Scenario, grid_step: float) -> DispatchSolution:
             raise ValueError(f"grid_step {grid_step!r} gives more than {cap} "
                              f"grid points on [-2D, 2D] for {n} generators; "
                              "use a larger grid_step")
-        grid = lo + grid_step * np.arange(npts)
 
         if n == 2:
-            rest = d - grid
-            tot = _quad(a[0], b[0], grid) + _quad(a[1], b[1], rest)
-            j = int(np.argmin(tot))
-            p = (float(grid[j]), float(rest[j]))
+            found = []
+            for x in _grid_blocks(lo, grid_step, npts):
+                rest = d - x
+                tot = _quad(a[0], b[0], x) + _quad(a[1], b[1], rest)
+                i = int(np.argmin(tot))
+                found.append((tot[i], x[i], rest[i]))
+            p = tuple(map(float, _first_min(found)[1:]))
         elif n == 3:
-            _, p = _grid_tail_search(grid, grid_step, lo, npts, a, b, d)
+            _, p = _grid_tail_search(_grid_blocks(lo, grid_step, npts), grid_step, lo, npts,
+                                     a, b, d)
         else:
-            # Enumerate p1; each value leaves a 3-generator tail problem.
+            # Enumerate p1 over the grid; each value leaves a 3-generator tail problem.
+            # The grid, at most MAX_GRID_POINTS_N4 points, is one block, built once.
+            blocks = list(_grid_blocks(lo, grid_step, npts))
             best_cost = math.inf
             best: tuple[float, ...] = ()
-            c0 = _quad(a[0], b[0], grid)
             for j in range(npts):
-                cost_j, tail = _grid_tail_search(grid, grid_step, lo, npts,
-                                                 a[1:], b[1:], d - float(grid[j]),
-                                                 base_cost=float(c0[j]))
+                x = lo + grid_step * j  # the bits of the grid's point j
+                cost_j, tail = _grid_tail_search(blocks, grid_step, lo, npts, a[1:], b[1:], d - x,
+                                                 base_cost=float(_quad(a[0], b[0], x)))
                 if cost_j < best_cost:
                     best_cost = cost_j
-                    best = (float(grid[j]),) + tail
+                    best = (x,) + tail
             p = best
 
     lam = _row_sum(cols.marginal(np.array(p))) / n
     return DispatchSolution(p=p, lambda_star=lam, total_cost=cols.total_cost(np.array(p)))
 
 
-def _grid_tail_search(grid, grid_step, lo, npts, a, b, d, base_cost=0.0):
+def _grid_blocks(lo: float, grid_step: float, npts: int):
+    """The grid's points lo + grid_step * j for j < npts, in blocks of _GRID_BLOCK."""
+    for start in range(0, npts, _GRID_BLOCK):
+        yield lo + grid_step * np.arange(start, min(start + _GRID_BLOCK, npts))
+
+
+def _first_min(found: list) -> tuple:
+    """Of the entries (value, ...) of ``found``, each a block's np.argmin in grid
+    order, the one np.argmin over the whole grid picks: the first NaN if there
+    is one, else the first least value."""
+    best = found[0]
+    for entry in found[1:]:
+        if best[0] == best[0] and (entry[0] < best[0] or entry[0] != entry[0]):
+            best = entry
+    return best
+
+
+def _grid_tail_search(blocks, grid_step, lo, npts, a, b, d, base_cost=0.0):
     """Grid-optimal (x, y, d-x-y) for three cost pairs; returns (cost, powers).
 
-    x runs over the whole grid. For each x the cost is a convex parabola
-    in y, so its grid minimum lies on one of the two grid points that
-    bracket the continuous minimum; evaluating both is exactly equivalent
-    to enumerating y. Cost excludes the constant offsets.
+    x runs over the whole grid, given as its ``blocks``. For each x the cost
+    is a convex parabola in y, so its grid minimum lies on one of the two grid
+    points that bracket the continuous minimum; evaluating both is exactly
+    equivalent to enumerating y. The lower candidate's first minimum stands
+    unless the upper one's is strictly lower. Cost excludes the constant offsets.
     """
-    rest = d - grid  # demand left for (y, z) after each x
-    y_cont = (2.0 * a[2] * rest + b[2] - b[1]) / (2.0 * (a[1] + a[2]))
-    j_lo = np.clip(np.floor((y_cont - lo) / grid_step), 0, npts - 1).astype(np.int64)
-    cost_x = base_cost + _quad(a[0], b[0], grid)
+    found = [], []  # per candidate, a block's first minimum (cost, x, y)
+    for x in blocks:
+        rest = d - x  # demand left for (y, z) after each x
+        y_cont = (2.0 * a[2] * rest + b[2] - b[1]) / (2.0 * (a[1] + a[2]))
+        j_lo = np.clip(np.floor((y_cont - lo) / grid_step), 0, npts - 1).astype(np.int64)
+        del y_cont  # before the candidate passes, which set the peak
+        cost_x = base_cost + _quad(a[0], b[0], x)
+        for entries, jj in zip(found, (j_lo, np.minimum(j_lo + 1, npts - 1))):
+            y = lo + grid_step * jj  # the grid's points jj
+            tot = cost_x + _quad(a[1], b[1], y) + _quad(a[2], b[2], rest - y)
+            i = int(np.argmin(tot))
+            entries.append((tot[i], x[i], y[i]))
 
     best_cost = math.inf
     best_x = best_y = 0.0
-    for jj in (j_lo, np.minimum(j_lo + 1, npts - 1)):
-        y = grid[jj]
-        z = rest - y
-        tot = cost_x + _quad(a[1], b[1], y) + _quad(a[2], b[2], z)
-        i = int(np.argmin(tot))
-        if tot[i] < best_cost:
-            best_cost = float(tot[i])
-            best_x = float(grid[i])
-            best_y = float(y[i])
+    for entries in found:
+        cost, x, y = _first_min(entries)
+        if cost < best_cost:
+            best_cost, best_x, best_y = float(cost), float(x), float(y)
     return best_cost, (best_x, best_y, d - best_x - best_y)
 
 

@@ -189,7 +189,8 @@ class Columns:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             two_a = _read_only(2.0 * a)
             w = _read_only(1.0 / two_a)
-            return cls(numbers, a, two_a, b, c, p_init, w, float(w.sum()))
+            # np.add.reduce is w.sum()'s pairwise sum, bit for bit, without its Python layer
+            return cls(numbers, a, two_a, b, c, p_init, w, float(np.add.reduce(w)))
 
     def solve(self, rho: float, r) -> np.ndarray:
         """p of (diag(2a) + rho * ones) p = r in O(N) by Sherman-Morrison, y = w * r."""

@@ -756,6 +756,62 @@ def test_help_exits_cleanly(capsys):
 
 
 # ---------------------------------------------------------------------------
+# A named subcommand is parsed by its own parser, and a file is read as bytes:
+# each gives what the full parser and a text-mode read give
+
+def _outcome(argv, capsys) -> tuple:
+    return run_command(argv), *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["-h"], ["iterate", "--help"], ["iterate"], ["iterate", "FILE"],
+    ["iterate", "FILE", "--method", "dual"],
+    ["iterate", "FILE", "--method", "dual", "--nope"],
+    ["iterate", "FILE", "--meth", "dual"],  # an abbreviated flag
+    ["dispatch", "FILE", "--grid-step", "x"],
+])
+def test_subcommand_parse_matches_the_full_parser(scenario_file, capsys, monkeypatch, argv):
+    argv = [scenario_file if arg == "FILE" else arg for arg in argv]
+    direct = _outcome(argv, capsys)
+    parser, _ = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))  # names no subcommand
+    assert _outcome(argv, capsys) == direct
+
+
+def test_named_subcommand_skips_the_full_parser(scenario_file, capsys, monkeypatch):
+    parser, _ = cli._build_parser()
+    monkeypatch.setattr(parser, "parse_args", None)  # a call would raise TypeError
+    assert run_command(["iterate", scenario_file, "--method", "dual"]) == 0
+    assert strict_json(capsys.readouterr().out)["converged"] is True
+
+
+def _text_mode_read(path):
+    """The read ``cli._read_file`` replaced: a text-mode file and its universal newlines."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_scenario_file(fh.read())
+
+
+@pytest.mark.parametrize("data", [
+    b'{"format_version": 1,\r\n "scenario":\r\n}\r\n',  # CRLF
+    b'{"format_version": 1,\r "scenario":\r}\r',  # CR alone
+    b'\r\n\r{"format_version": 1,\n\r\n "scenario": [\r\r\n',  # mixed
+    b'{"format_version": 1, "scenario": "x\ry"}',  # a control character in a string
+    b'\xef\xbb\xbf{"format_version": 1}',  # a byte-order mark
+    b'{"format_version": 1,\r\n "scenario": "\xff"}',  # invalid UTF-8
+    b'{"format_version": 1, "scenario": "\xe2\x82',  # a cut multibyte character
+    b'\xff\xfe{\x00}\x00',  # UTF-16
+])
+@pytest.mark.parametrize("command", ["validate", "dispatch"])
+def test_byte_read_matches_a_text_mode_read(tmp_path, capsys, monkeypatch, data, command):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(data)
+    read = _outcome([command, str(path)], capsys)
+    assert read[0] in (1, 2)
+    monkeypatch.setattr(cli, "_read_file", _text_mode_read)
+    assert _outcome([command, str(path)], capsys) == read
+
+
+# ---------------------------------------------------------------------------
 # non-finite input: a clean exit code and strict JSON on stdout
 
 def test_nan_solver_block_exit_2(tmp_path, capsys):
@@ -923,6 +979,14 @@ def test_bad_oracle_grid_step_exit_1(scenario_file, capsys, step):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: grid_step ")
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "-0.5", "0"])
+def test_bad_grid_step_exit_1_without_the_oracle(scenario_file, capsys, step):
+    assert run_command(["dispatch", scenario_file, "--grid-step", step]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid_step must be finite and > 0\n"
 
 
 def test_oracle_refuses_large_four_unit_grid_exit_1(tmp_path, capsys):

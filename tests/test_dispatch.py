@@ -1,9 +1,11 @@
 """Dispatch solvers: closed form vs oracle vs both iterations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import freqdispatch.dispatch as dispatch
 from freqdispatch import (
@@ -118,6 +120,74 @@ def test_brute_force_caps_grid_points(scenario_r, monkeypatch):
     assert sol.p == pytest.approx((7.0, 3.0), abs=0.04)
     with pytest.raises(ValueError, match="grid_step 0.03996003996003996 gives more than 1001"):
         brute_force_dispatch(scenario_r, 40.0 / 1001)
+
+
+def _whole_grid_oracle(s, grid_step) -> tuple[int, tuple[float, ...]]:
+    """The grid's point count and the oracle's powers at N = 2 or 3, from the whole
+    grid built at once, as the oracle searched it before it searched in blocks."""
+    a, b = s.columns.a, s.columns.b
+    quad = lambda k, x: a[k] * x * x + b[k] * x  # noqa: E731
+    d = total_load(s)
+    lo = -2.0 * abs(d)
+    npts = math.ceil((2.0 * abs(d) - lo) / grid_step - 1e-9) + 1
+    grid = lo + grid_step * np.arange(npts)
+    rest = d - grid
+    if len(a) == 2:
+        j = int(np.argmin(quad(0, grid) + quad(1, rest)))
+        return npts, (float(grid[j]), float(rest[j]))
+    y_cont = (2.0 * a[2] * rest + b[2] - b[1]) / (2.0 * (a[1] + a[2]))
+    j_lo = np.clip(np.floor((y_cont - lo) / grid_step), 0, npts - 1).astype(np.int64)
+    best_cost, x, y = math.inf, 0.0, 0.0
+    for jj in (j_lo, np.minimum(j_lo + 1, npts - 1)):
+        tot = 0.0 + quad(0, grid) + quad(1, grid[jj]) + quad(2, rest - grid[jj])
+        i = int(np.argmin(tot))
+        if tot[i] < best_cost:
+            best_cost, x, y = float(tot[i]), float(grid[i]), float(grid[jj][i])
+    return npts, (x, y, d - x - y)
+
+
+_BLOCK = dispatch._GRID_BLOCK
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(a=st.lists(st.floats(0.1, 5.0), min_size=3, max_size=3),
+       b=st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3),
+       n=st.sampled_from([2, 3]), tied=st.integers(0, 2), d=st.floats(1.0, 50.0))
+def test_brute_force_blocks_match_the_whole_grid(a, b, n, tied, d):
+    a, b = a[:n], b[:n]
+    for k in range(1, min(tied, n - 1) + 1):  # units 1 to `tied` copy unit 0
+        a[k], b[k] = a[0], b[0]
+    s = make_scenario(a, b, [d])
+    for points in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+        step = 4.0 * d / (points - 1)
+        npts, p = _whole_grid_oracle(s, step)
+        assert npts == points
+        assert [x.hex() for x in brute_force_dispatch(s, step).p] == [x.hex() for x in p]
+
+
+@pytest.mark.parametrize("block", [39, 40, 41])
+def test_brute_force_tie_across_blocks_keeps_the_first_point(monkeypatch, block):
+    # x^2 + x + (8 - x)^2 is 36 at both 3.5 and 4.0, exactly: grid points 39 and 40
+    # of the 0.5 grid on [-16, 16]; a block of 40 points puts them in two blocks
+    s = make_scenario([1.0, 1.0], [1.0, 0.0], [8.0])
+    monkeypatch.setattr(dispatch, "_GRID_BLOCK", block)
+    assert brute_force_dispatch(s, 0.5).p == (3.5, 4.5) == _whole_grid_oracle(s, 0.5)[1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_brute_force_memory_stays_flat_at_the_grid_cap(n):
+    s = make_scenario([0.5, 1.0, 2.0][:n], [1.0, 2.0, 1.0][:n], [10.0])
+    # D = 10 spans [-20, 20]: a step of 40/(m-1) gives m points, the cap and no more
+    with pytest.raises(ValueError, match="gives more than"):
+        brute_force_dispatch(s, 40.0 / dispatch.MAX_GRID_POINTS)
+    step = 40.0 / (dispatch.MAX_GRID_POINTS - 1)
+    tracemalloc.start()
+    try:
+        brute_force_dispatch(s, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # the whole grid took 40 MB at N = 2 and 96 MB at N = 3
 
 
 def _no_tail_search(*args, **kwargs):

@@ -860,6 +860,9 @@ _TWINS = [0.0, -0.0, math.nan, -math.nan, _QUIET_NAN_1, math.inf, -math.inf,
           1e-300, -1e-300, 3 / 2 ** 25, 5e-324, 1.5, 0.1]
 
 
+# Small blocks keep the drawn tables small; the text does not depend on the block
+# size (test_trace_csv_does_not_depend_on_the_block_size).
+@unittest.mock.patch.object(cli, "_CSV_BLOCK_CELLS", 128)
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_csv_rows_copy_only_cells_equal_to_the_one_above(data):
@@ -1083,6 +1086,8 @@ def _jsonable(x):
     """A summary as the CLI handed it to json.dumps(..., indent=2, allow_nan=False)."""
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
+    if dataclasses.is_dataclass(x):  # a report: the object of its fields in order
+        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, (StopReason, ControllerKind, EquivalencePair)):
@@ -1095,16 +1100,22 @@ def _jsonable(x):
 _SUMMARY_FLOATS = st.one_of(
     st.floats(), st.floats().map(np.float64),
     st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.5e-310, 1e308]))
+_SUMMARY_INTS = st.one_of(st.integers(), st.integers(-10 ** 400, 10 ** 400),
+                          st.sampled_from([2 ** 63, -2 ** 64 - 1, 10 ** 4000]))
 _SUMMARY_LEAVES = st.one_of(
-    _SUMMARY_FLOATS, st.integers(), st.booleans(), st.none(), st.text(),
+    _SUMMARY_FLOATS, _SUMMARY_INTS, st.booleans(), st.none(), st.text(),
     st.sampled_from([*StopReason, *ControllerKind, *EquivalencePair]),
     st.lists(_SUMMARY_FLOATS), st.lists(st.floats(allow_nan=False, allow_infinity=False)))
 _SUMMARY_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(),
                           st.floats(allow_nan=False, allow_infinity=False))
+_REPORTS = (experiments.MethodConvergence, experiments.ConvergenceReport,
+            experiments.SteadyStateReport, experiments.EquivalenceReport, experiments.SweepRecord)
 _SUMMARIES = st.recursive(
     _SUMMARY_LEAVES,
     lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(_SUMMARY_KEYS, inner, max_size=4),
+    | st.dictionaries(_SUMMARY_KEYS, inner, max_size=4)
+    | st.one_of([st.builds(report, **{f.name: inner for f in dataclasses.fields(report)})
+                 for report in _REPORTS]),
     max_leaves=25)
 
 
