@@ -266,6 +266,26 @@ def _grid_tail_search(blocks, grid_step, lo, npts, a, b, d, base_cost=0.0):
     return best_cost, (best_x, best_y, d - best_x - best_y)
 
 
+def _solver_problem(opts: dict) -> tuple[str, str] | None:
+    """The first rule of the solvers, and of the CLI's solver block and flags, that
+    ``opts`` (some of alpha, rho, tol, lambda0 and max_iter; None is unset) break, as
+    (field, message), or None: each is finite, all but lambda0 > 0, max_iter >= 1."""
+    for name in ("alpha", "rho", "tol", "lambda0"):
+        value = opts.get(name)
+        if value is not None and not math.isfinite(value):
+            return name, "must be finite"
+        if value is not None and value <= 0 and name != "lambda0":
+            return name, "must be > 0"
+    return ("max_iter", "must be >= 1") if opts.get("max_iter", 1) < 1 else None
+
+
+def _check_solver(**opts) -> None:
+    """Raise ValueError("<field> <message>") on the first ``_solver_problem``."""
+    problem = _solver_problem(opts)
+    if problem is not None:
+        raise ValueError(" ".join(problem))
+
+
 def default_lambda0(s: Scenario) -> float:
     """Warm-start price: marginal cost of the first generator at its p_init."""
     cols = s.columns
@@ -310,6 +330,7 @@ def _state(s: Scenario, power: Callable[[float], np.ndarray], coupling: float,
 
 def initial_dual_state(s: Scenario, lambda0: float | None = None) -> IterState:
     """State k=0 of the dual ascent: powers at marginal cost for lambda0."""
+    _check_solver(lambda0=lambda0)
     return _state(s, _dual_power(s), 0.0, lambda0)  # no step, no alpha
 
 
@@ -322,8 +343,7 @@ def dual_ascent_step(st: IterState, s: Scenario, alpha: float) -> IterState:
         lam'  = lam + alpha * (D - sum p)
         p_i'  = (lam' - b_i) / (2 a_i)
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    _check_solver(alpha=alpha)
     return _state(s, _dual_power(s), alpha, st.lam, st.imbalance, st.k + 1)
 
 
@@ -338,6 +358,7 @@ def stability_bound_alpha(s: Scenario) -> float:
 
 def dual_contraction_factor(s: Scenario, alpha: float) -> float:
     """Per-step imbalance ratio |1 - alpha * S| of the dual ascent."""
+    _check_solver(alpha=alpha)
     return abs(1.0 - alpha * aggregate_power_slope(s))
 
 
@@ -345,10 +366,6 @@ def _run_iteration(s: Scenario, power: Callable[[float], np.ndarray], coupling: 
                    lambda0: float | None, tol: float, max_iter: int) -> IterationTrace:
     """The ``_iterates`` prices and imbalances up to the stop, at most max_iter + 1 of
     each. No power row is kept: the trace holds ``power`` and derives them on read."""
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     guard = DIVERGENCE_FACTOR * max(abs(total_load(s)), 1.0)
 
     lams, imbalances = [], []
@@ -377,8 +394,7 @@ def dual_ascent_solve(s: Scenario, alpha: float, tol: float = 1e-6,
     the imbalance exceeds the divergence guard (or goes non-finite).
     Convergence is judged on the power imbalance, not on price movement.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    _check_solver(alpha=alpha, tol=tol, lambda0=lambda0, max_iter=max_iter)
     return _run_iteration(s, _dual_power(s), alpha, lambda0, tol, max_iter)
 
 
@@ -398,6 +414,7 @@ def mom_inner_minimize(lam: float, s: Scenario, rho: float) -> tuple[float, ...]
 
 def initial_mom_state(s: Scenario, rho: float, lambda0: float | None = None) -> IterState:
     """State k=0 of the method of multipliers: penalized minimizer at lambda0."""
+    _check_solver(rho=rho, lambda0=lambda0)
     return _state(s, _mom_power(s, rho), rho, lambda0)
 
 
@@ -407,16 +424,14 @@ def mom_step(st: IterState, s: Scenario, rho: float) -> IterState:
     The price moves by rho times the current imbalance, then the powers
     re-solve the penalized stage problem at the new price.
     """
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
+    _check_solver(rho=rho)
     return _state(s, _mom_power(s, rho), rho, st.lam, st.imbalance, st.k + 1)
 
 
 def mom_solve(s: Scenario, rho: float, tol: float = 1e-6, max_iter: int = 10000,
               lambda0: float | None = None) -> IterationTrace:
     """Iterate mom_step until |imbalance| < tol; same semantics as dual_ascent_solve."""
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
+    _check_solver(rho=rho, tol=tol, lambda0=lambda0, max_iter=max_iter)
     return _run_iteration(s, _mom_power(s, rho), rho, lambda0, tol, max_iter)
 
 
@@ -425,6 +440,5 @@ def mom_contraction_factor(s: Scenario, rho: float) -> float:
 
     Always below one, so the iteration is stable for any positive penalty.
     """
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
+    _check_solver(rho=rho)
     return 1.0 / (1.0 + rho * aggregate_power_slope(s))

@@ -16,6 +16,7 @@ import numpy as np
 from .dispatch import (
     IterationTrace,
     StopReason,
+    _check_solver,
     _dual_power,
     _iterates,
     _mom_power,
@@ -234,6 +235,7 @@ def compare_convergence(s: Scenario, alpha: float, rho: float,
     """
     if alpha <= 0 or rho <= 0:
         raise ValueError("alpha and rho must be > 0")
+    _check_solver(alpha=alpha, rho=rho, tol=tol, lambda0=lambda0, max_iter=max_iter)
     dual_trace = dual_ascent_solve(s, alpha, tol, max_iter, lambda0)
     mom_trace = mom_solve(s, rho, tol, max_iter, lambda0)
     dual = _method_summary(dual_trace, tol, dual_contraction_factor(s, alpha))

@@ -21,7 +21,7 @@ from freqdispatch import (
     dual_ascent_solve,
     simulate,
 )
-from freqdispatch import cli
+from freqdispatch import cli, traceio
 from freqdispatch.cli import (
     ScenarioFileError,
     parse_scenario_file,
@@ -218,9 +218,10 @@ def test_simulation_csv_blocks_amortise_the_kernel_call():
     # Each _csv_cells call pays some 60 us of numpy dispatch whatever its size, so
     # a block holds at least 8 of this trace's 2,002-cell rows, not 2.
     trace = _fleet_trace()
-    rows, per_block = len(trace.t), cli._CSV_BLOCK_CELLS // 2002
+    rows, per_block = len(trace.t), traceio._CSV_BLOCK_CELLS // 2002
     assert rows == 201 and per_block >= 8
-    with unittest.mock.patch.object(cli, "_csv_cells", side_effect=cli._csv_cells) as kernel:
+    kernel_spy = unittest.mock.patch.object(traceio, "_csv_cells", side_effect=traceio._csv_cells)
+    with kernel_spy as kernel:
         write_trace_csv(trace, io.StringIO())
     assert 0 < kernel.call_count <= -(-rows // per_block)
 
@@ -503,7 +504,7 @@ def test_simulation_csv_blocks_match_row_by_row_reference():
     # a row count that is not a multiple of the writer's block size
     s = make_scenario([0.5, 1.0, 2.0], [1.0, 2.0, -3.0], [6.0, 4.0],
                       p_init=[4.0, 3.0, 2.0], beta=1.5)
-    block_rows = cli._CSV_BLOCK_CELLS // (2 * 3 + 2)
+    block_rows = traceio._CSV_BLOCK_CELLS // (2 * 3 + 2)
     rows = 2 * block_rows + 3
     cfg = ControllerConfig(ControllerKind.INTEGRAL, s.gain_K, s.tau)
     trace = simulate(s, cfg, h=0.1, t_end=(rows - 1) * 0.1, events=[(3.0, (7.2, 4.8))])
@@ -516,6 +517,10 @@ def test_simulation_csv_blocks_match_row_by_row_reference():
 def test_write_trace_csv_rejects_unknown_types():
     with pytest.raises(TypeError):
         write_trace_csv(object(), io.StringIO())
+
+
+def test_cli_binds_the_trace_writer_of_traceio():
+    assert cli.write_trace_csv is traceio.write_trace_csv  # the name a tracer wraps in cli
 
 
 # ---------------------------------------------------------------------------

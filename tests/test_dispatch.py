@@ -1,6 +1,7 @@
 """Dispatch solvers: closed form vs oracle vs both iterations."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from freqdispatch import (
     aggregate_power_slope,
     analytic_dispatch,
     brute_force_dispatch,
+    compare_convergence,
     default_lambda0,
     dual_ascent_solve,
     dual_ascent_step,
@@ -407,15 +409,43 @@ def test_dual_contraction_factor(scenario_r):
     assert dual_contraction_factor(scenario_r, 1.5) == pytest.approx(1.25, abs=1e-12)
 
 
-def test_solver_guards(scenario_r):
-    with pytest.raises(ValueError):
-        dual_ascent_solve(scenario_r, -1.0)
-    with pytest.raises(ValueError):
-        dual_ascent_solve(scenario_r, 0.5, tol=0.0)
-    with pytest.raises(ValueError):
-        dual_ascent_solve(scenario_r, 0.5, max_iter=0)
-    with pytest.raises(ValueError):
-        mom_solve(scenario_r, 0.0)
+_SOLVER_GUARDS = {
+    # inputs that used to run: all 10,000 iterations, a NaN ratio reported as
+    # converged, a NaN state, or a zero step
+    "dual-tol-nan": (lambda s: dual_ascent_solve(s, 0.5, tol=math.nan), "tol must be finite"),
+    "mom-tol-inf": (lambda s: mom_solve(s, 0.5, tol=math.inf), "tol must be finite"),
+    "mom-lambda0-nan": (lambda s: mom_solve(s, 0.5, lambda0=math.nan), "lambda0 must be finite"),
+    "compare-alpha-nan": (lambda s: compare_convergence(s, math.nan, 0.5), "alpha must be finite"),
+    "compare-tol-nan": (lambda s: compare_convergence(s, 0.5, 0.5, tol=math.nan),
+                        "tol must be finite"),
+    "dual-step-nan": (lambda s: dual_ascent_step(initial_dual_state(s), s, math.nan),
+                      "alpha must be finite"),
+    "dual-state-inf": (lambda s: initial_dual_state(s, math.inf), "lambda0 must be finite"),
+    "mom-step-nan": (lambda s: mom_step(initial_mom_state(s, 0.5), s, math.nan),
+                     "rho must be finite"),
+    "dual-factor-nan": (lambda s: dual_contraction_factor(s, math.nan), "alpha must be finite"),
+    "mom-factor-nan": (lambda s: mom_contraction_factor(s, math.nan), "rho must be finite"),
+    "mom-state-zero": (lambda s: initial_mom_state(s, 0.0), "rho must be > 0"),  # as mom_step
+    "dual-factor-zero": (lambda s: dual_contraction_factor(s, 0.0),  # as mom_contraction_factor
+                         "alpha must be > 0"),
+    # a value <= 0, with the messages it always had
+    "dual-alpha-negative": (lambda s: dual_ascent_solve(s, -1.0), "alpha must be > 0"),
+    "dual-tol-zero": (lambda s: dual_ascent_solve(s, 0.5, tol=0.0), "tol must be > 0"),
+    "dual-max-iter-zero": (lambda s: dual_ascent_solve(s, 0.5, max_iter=0),
+                           "max_iter must be >= 1"),
+    "mom-rho-zero": (lambda s: mom_solve(s, 0.0), "rho must be > 0"),
+    "mom-step-negative": (lambda s: mom_step(initial_mom_state(s, 0.5), s, -1.0),
+                          "rho must be > 0"),
+    "compare-rho-zero": (lambda s: compare_convergence(s, 0.5, 0.0), "alpha and rho must be > 0"),
+}
+
+
+@pytest.mark.parametrize("case", _SOLVER_GUARDS)
+def test_solver_guards(scenario_r, case):
+    # one rule set, dispatch._solver_problem, for every solver input
+    call, message = _SOLVER_GUARDS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(scenario_r)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ from freqdispatch import (
     total_load,
     validate_scenario,
 )
-from freqdispatch import cli, experiments, model
+from freqdispatch import cli, experiments, model, traceio
 from freqdispatch.cli import (
     ScenarioFile,
     ScenarioFileError,
@@ -722,7 +722,7 @@ def csv_traces(draw) -> SimulationTrace:
                       beta=draw(st.floats(0.5, 5.0)), tau=draw(st.floats(0.2, 5.0)))
     if draw(st.booleans()):
         s = economic_start(s)
-    block = max(1, cli._CSV_BLOCK_CELLS // (2 * n + 2))
+    block = max(1, traceio._CSV_BLOCK_CELLS // (2 * n + 2))
     steps = draw(st.integers(0, 3)) * block + draw(st.integers(2, block + 1))  # t_end > h
     h = s.tau * draw(st.floats(0.01, 1.0))
     events = [(draw(st.integers(0, steps)) * h, tuple(draw(_floats(1.0, 50.0, 2))))
@@ -755,7 +755,7 @@ def test_simulation_csv_keeps_signed_zeros(data):
 
 @pytest.mark.parametrize("economic", [True, False])
 def test_simulation_csv_row_wider_than_a_block(economic):
-    n = cli._CSV_BLOCK_CELLS // 2 + 7  # 2n + 2 cells per row: one block holds part of a row
+    n = traceio._CSV_BLOCK_CELLS // 2 + 7  # 2n + 2 cells per row: one block holds part of a row
     rng = np.random.default_rng(n)
     s = make_scenario(rng.uniform(0.1, 5.0, n), rng.uniform(-20.0, 20.0, n), [40.0, 25.0],
                       p_init=rng.uniform(-10.0, 30.0, n))
@@ -777,7 +777,7 @@ def block_traces(draw):
     if draw(st.booleans()):
         s = economic_start(s)
     simulation = draw(st.booleans())
-    step = max(1, cli._CSV_BLOCK_CELLS // (2 * n + 2 if simulation else n + 4))
+    step = max(1, traceio._CSV_BLOCK_CELLS // (2 * n + 2 if simulation else n + 4))
     rows = draw(st.integers(0, 1)) * step + draw(st.integers(2, step + 1))
     if simulation:
         h = s.tau * draw(st.floats(0.01, 1.0))
@@ -796,8 +796,8 @@ def test_trace_csv_does_not_depend_on_the_block_size(trace):
     # blocks of one row, one row (7 cells hold no row of 4 or more), 4,096 cells
     # and the shipped size cut the trace at different rows
     expected = _csv(trace)
-    for cells in (1, 7, 4096, cli._CSV_BLOCK_CELLS):
-        with unittest.mock.patch.object(cli, "_CSV_BLOCK_CELLS", cells):
+    for cells in (1, 7, 4096, traceio._CSV_BLOCK_CELLS):
+        with unittest.mock.patch.object(traceio, "_CSV_BLOCK_CELLS", cells):
             assert _csv(trace) == expected, cells
 
 
@@ -806,7 +806,7 @@ def test_trace_csv_does_not_depend_on_the_block_size(trace):
 
 def _csv_text(table) -> str:
     """The table's CSV text, cut into blocks as the trace writers cut theirs."""
-    return "".join(cli._csv_rows(*table.shape, table.__getitem__))
+    return "".join(traceio._csv_rows(*table.shape, table.__getitem__))
 
 
 def _kernel_matches_format(values, cols):
@@ -862,12 +862,12 @@ _TWINS = [0.0, -0.0, math.nan, -math.nan, _QUIET_NAN_1, math.inf, -math.inf,
 
 # Small blocks keep the drawn tables small; the text does not depend on the block
 # size (test_trace_csv_does_not_depend_on_the_block_size).
-@unittest.mock.patch.object(cli, "_CSV_BLOCK_CELLS", 128)
+@unittest.mock.patch.object(traceio, "_CSV_BLOCK_CELLS", 128)
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_csv_rows_copy_only_cells_equal_to_the_one_above(data):
     cols = data.draw(st.integers(1, 7))
-    step = max(1, cli._CSV_BLOCK_CELLS // cols)  # rows per block
+    step = max(1, traceio._CSV_BLOCK_CELLS // cols)  # rows per block
     rows = data.draw(st.integers(step + 2, 2 * step + 2))  # two blocks and part of a third
     cells = st.one_of(st.sampled_from(_TWINS), st.floats(), _BIT_PATTERNS)
     patterns = data.draw(st.lists(st.lists(cells, min_size=cols, max_size=cols),
@@ -886,7 +886,8 @@ def test_csv_rows_copy_only_cells_equal_to_the_one_above(data):
         table[row, data.draw(st.integers(0, cols - 1))] = data.draw(cells)
     col = data.draw(st.integers(0, cols - 1))
     table[step, col] = table[step - 1, col]  # a repeat crosses the first block boundary
-    with unittest.mock.patch.object(cli, "_csv_cells", side_effect=cli._csv_cells) as kernel:
+    kernel_spy = unittest.mock.patch.object(traceio, "_csv_cells", side_effect=traceio._csv_cells)
+    with kernel_spy as kernel:
         text = _csv_text(table)
     bits = table.view(np.uint64)
     assert sum(call.args[0].size for call in kernel.call_args_list) \
@@ -902,7 +903,7 @@ def test_csv_rows_copy_only_cells_equal_to_the_one_above(data):
 def test_csv_rows_on_a_cell_under_its_twin(pair, across):
     # each column holds one of the pair, then from the row after `row` on the other,
     # inside the first block or across its end
-    step = cli._CSV_BLOCK_CELLS // 2  # rows per block at two columns
+    step = traceio._CSV_BLOCK_CELLS // 2  # rows per block at two columns
     row = step - 1 if across else step // 2
     table = np.array([pair] * (row + 1) + [pair[::-1]] * (2 * step - row))
     expected = "".join(",".join(format(x, ".17g") for x in r) + "\n" for r in table.tolist())
@@ -952,7 +953,7 @@ def _reference_csv_tables() -> dict:
 def test_csv_tables_match_an_exact_reference():
     # the kernel stacks the tables it reads at one index, a row each: by exponent
     # row, by the point's place q and by the count of bytes kept ("keep" already is)
-    tables, ref = cli._csv_tables(), _reference_csv_tables()
+    tables, ref = traceio._csv_tables(), _reference_csv_tables()
     stacked = {
         "scale": np.stack([ref["hi"], ref["hh"], ref["hi"] - ref["hh"], ref["lo"]]),
         "layout": np.stack([ref["prefix"], ref["exp"], *(ref[k].astype(np.uint64)
