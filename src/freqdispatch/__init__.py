@@ -33,7 +33,6 @@ from .dynamics import (
     QuasiStatic,
     SimState,
     SimulationTrace,
-    frequency_deviation,
     integral_rhs,
     pi_rhs,
     settling_time,
@@ -62,10 +61,7 @@ from .model import (
     Generator,
     Scenario,
     Violation,
-    cost_value,
-    ensure_valid,
     integral_gain,
-    marginal_cost,
     total_load,
     validate_scenario,
 )

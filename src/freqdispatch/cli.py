@@ -61,7 +61,6 @@ __all__ = [
     "main",
     "parse_scenario_file",
     "run_command",
-    "serialize_scenario_file",
     "write_trace_csv",
 ]
 
@@ -95,9 +94,10 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SimulationOptions:
-    """Optional simulation block; h and t_end default to tau/100 and 100*tau."""
+    """Optional simulation block. ``simulate``'s flags win over it; without either,
+    h and t_end default to tau/100 and 100*tau, and the controller has no default."""
 
-    controller: ControllerKind = ControllerKind.INTEGRAL
+    controller: ControllerKind | None = None
     h: float | None = None
     t_end: float | None = None
     events: tuple[LoadEvent, ...] = ()
@@ -284,34 +284,6 @@ def parse_scenario_file(text: str) -> ScenarioFile:
     return ScenarioFile(version, scenario, solver, simulation)
 
 
-def serialize_scenario_file(sf: ScenarioFile) -> str:
-    """Inverse of parse_scenario_file: parsing the output reproduces ``sf``."""
-    s = sf.scenario
-    payload: dict = {
-        "format_version": sf.format_version,
-        "scenario": {
-            "generators": [  # from the ids and number columns: no generator objects
-                {"id": gen_id, "cost": {"a": a, "b": b, "c": c}, "p_init": p_init}
-                for gen_id, a, b, c, p_init in zip(s._ids, *s.columns.numbers.tolist())
-            ],
-            "loads": list(s.loads),
-            "gain_K": s.gain_K,
-            "beta": s.beta,
-            "tau": s.tau,
-        },
-    }
-    if sf.solver is not None:  # the options that are set
-        payload["solver"] = {name: value for name in ("tol", "max_iter", "alpha", "rho", "lambda0")
-                             if (value := getattr(sf.solver, name)) is not None}
-    if sf.simulation is not None:
-        sim = sf.simulation
-        block = {"controller": sim.controller.value, "h": sim.h, "t_end": sim.t_end,
-                 "events": [{"time": ev.time, "loads": list(ev.loads)} for ev in sim.events]}
-        payload["simulation"] = {key: value for key, value in block.items()
-                                 if value is not None and value != []}
-    return json.dumps(payload, indent=2)
-
-
 # ---------------------------------------------------------------------------
 # JSON summaries
 
@@ -410,7 +382,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub.add_parser("simulate", help="sample the exact trajectory of the continuous closed loop")
     p.add_argument("file")
-    p.add_argument("--controller", required=True, choices=["integral", "pi"])
+    p.add_argument("--controller", choices=["integral", "pi"],
+                   help="defaults to the file's simulation.controller")
     p.add_argument("--h", type=float)
     p.add_argument("--t-end", type=float)
     p.add_argument("--eps", type=float, default=1e-4,
@@ -546,7 +519,9 @@ def _cmd_simulate(args) -> int:
     sf = _read_file(args.file)
     s = sf.scenario
     sim = sf.simulation if sf.simulation is not None else SimulationOptions()
-    kind = ControllerKind(args.controller)
+    kind = ControllerKind(args.controller) if args.controller is not None else sim.controller
+    if kind is None:
+        raise ValueError("--controller is required when the file has no simulation block")
     h = args.h if args.h is not None else (sim.h if sim.h is not None else s.tau / 100.0)
     t_end = args.t_end if args.t_end is not None else \
         (sim.t_end if sim.t_end is not None else 100.0 * s.tau)

@@ -299,7 +299,9 @@ def _dual_power(s: Scenario) -> Callable[[float], np.ndarray]:
 
 
 def _mom_power(s: Scenario, rho: float) -> Callable[[float], np.ndarray]:
-    """lam -> the penalized stage minimizer at lam; see ``mom_inner_minimize``."""
+    """lam -> ``mom_inner_minimize``'s minimizer at lam; the dual map at rho = 0."""
+    if not math.isfinite(rho):
+        raise ValueError("rho must be finite")
     if rho < 0:
         raise ValueError("rho must be >= 0")
     solve, b, rho_d = s.columns.solve, s.columns.b, rho * total_load(s)

@@ -34,7 +34,6 @@ __all__ = [
     "QuasiStatic",
     "SimState",
     "SimulationTrace",
-    "frequency_deviation",
     "integral_rhs",
     "pi_rhs",
     "settling_time",
@@ -113,16 +112,6 @@ class SimulationTrace:
     scenario: Scenario
 
 
-def frequency_deviation(p, d_total: float, beta: float) -> float:
-    """Quasi-static deviation (sum(p) - d_total) / beta, p added left to right.
-
-    Sign convention: surplus generation raises the frequency.
-    """
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError("beta must be finite and > 0")
-    return (_row_sum(np.asarray(p, dtype=float)) - d_total) / beta
-
-
 def _gains(s: Scenario, cfg: ControllerConfig) -> np.ndarray:
     """g with dP/dt = -g * delta_f: g_i = K/(2 a_i tau), times beta/(beta + K S) for PI.
 
@@ -177,7 +166,7 @@ def _closure(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
              model: FrequencyModel | None):
     """(y, unpack(t, y) -> SimState, deriv(state) -> dy/dt) for one step from
     ``state``, as ``model`` closes the loop around ``rhs`` at the scenario's load:
-    under QuasiStatic y = p and delta_f follows from p; under Inertial y = (p, delta_f).
+    under QuasiStatic y = p, delta_f = (sum(p) - D)/beta; under Inertial y = (p, delta_f).
     """
     if model is None:
         model = QuasiStatic(s.beta)
@@ -185,7 +174,7 @@ def _closure(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
     d = total_load(s)
     if isinstance(model, QuasiStatic):
         def unpack(t, y):
-            return SimState(t, tuple(y.tolist()), frequency_deviation(y, d, model.beta))
+            return SimState(t, tuple(y.tolist()), (_row_sum(y) - d) / model.beta)
 
         return np.asarray(state.p), unpack, lambda st: np.asarray(rhs(st, s, cfg))
 
@@ -198,6 +187,14 @@ def _closure(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
             lambda t, y: SimState(t, tuple(y[:-1].tolist()), float(y[-1])), deriv)
 
 
+def _check_step(h: float) -> None:
+    """The step-size rule of the public steppers: h finite and > 0."""
+    if h <= 0:
+        raise ValueError("h must be > 0")
+    if not math.isfinite(h):
+        raise ValueError("h must be finite")
+
+
 def step_euler(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
                h: float, model: FrequencyModel | None = None) -> SimState:
     """One forward-Euler step of size h.
@@ -205,8 +202,7 @@ def step_euler(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
     Under QuasiStatic the new deviation is recomputed algebraically from
     the new powers; under Inertial it is integrated alongside them.
     """
-    if h <= 0:
-        raise ValueError("h must be > 0")
+    _check_step(h)
     y, unpack, deriv = _closure(rhs, state, s, cfg, model)
     return unpack(state.t + h, y + h * deriv(state))
 
@@ -214,8 +210,7 @@ def step_euler(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
 def step_rk4(rhs, state: SimState, s: Scenario, cfg: ControllerConfig,
              h: float, model: FrequencyModel | None = None) -> SimState:
     """One classical 4-stage Runge-Kutta step of size h."""
-    if h <= 0:
-        raise ValueError("h must be > 0")
+    _check_step(h)
     y, unpack, deriv = _closure(rhs, state, s, cfg, model)
     t = state.t
     k1 = deriv(state)

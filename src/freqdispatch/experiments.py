@@ -101,17 +101,19 @@ def check_euler_equivalence(s: Scenario, pair: EquivalencePair, steps: int,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    _check_solver(lambda0=lambda0)
     _check_model(QuasiStatic(s.beta))
     coupling = s.gain_K / s.beta  # alpha and rho implied by the frequency map
 
     if pair is EquivalencePair.DUAL_VS_INTEGRAL:
-        power, kind = _dual_power(s), ControllerKind.INTEGRAL
+        kind = ControllerKind.INTEGRAL
     elif pair is EquivalencePair.MOM_VS_PI:
-        power, kind = _mom_power(s, coupling), ControllerKind.PROPORTIONAL_INTEGRAL
+        kind = ControllerKind.PROPORTIONAL_INTEGRAL
     else:
         raise ValueError(f"unknown equivalence pair {pair!r}")
 
-    g = _gains(s, ControllerConfig(kind, s.gain_K, s.tau))
+    g = _gains(s, ControllerConfig(kind, s.gain_K, s.tau))  # K and tau before rho = K/beta
+    power = _dual_power(s) if kind is ControllerKind.INTEGRAL else _mom_power(s, coupling)
     d, beta, tau, isfinite = total_load(s), s.beta, s.tau, math.isfinite
     iterates = _iterates(s, power, coupling, lambda0)
     lam, p, imbalance = next(iterates)

@@ -26,10 +26,7 @@ __all__ = [
     "Generator",
     "Scenario",
     "Violation",
-    "cost_value",
-    "ensure_valid",
     "integral_gain",
-    "marginal_cost",
     "total_load",
     "validate_scenario",
 ]
@@ -167,7 +164,7 @@ def _read_only(col: np.ndarray) -> np.ndarray:
 class Columns:
     """Read-only float64 columns of the generators: ``numbers``, the (4, N) block whose
     rows are a, b, c and p_init, and the rank-one kernel 2a, w = 1/(2a) and S = ``slope``
-    = sum(w); elementwise they give the bits of the scalar cost functions."""
+    = sum(w), with the cost algebra on them."""
 
     numbers: np.ndarray
     a: np.ndarray
@@ -232,16 +229,6 @@ class ControllerConfig:
     kind: ControllerKind
     gain_K: float
     tau: float
-
-
-def cost_value(cost: CostCoefficients, p: float) -> float:
-    """Generation cost a*p**2 + b*p + c ($/h) at output ``p`` MW."""
-    return cost.a * p * p + cost.b * p + cost.c
-
-
-def marginal_cost(cost: CostCoefficients, p: float) -> float:
-    """Incremental cost 2*a*p + b ($/MWh), the derivative of cost_value."""
-    return 2.0 * cost.a * p + cost.b
 
 
 def integral_gain(cost: CostCoefficients, gain_k: float, tau: float) -> float:
@@ -333,11 +320,3 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             out.append(Violation(name, f"{name} must be > 0"))
 
     return out
-
-
-def ensure_valid(s: Scenario) -> Scenario:
-    """Return ``s`` unchanged, or raise ValueError listing every violation."""
-    violations = validate_scenario(s)
-    if violations:
-        raise ValueError("invalid scenario: " + "; ".join(str(v) for v in violations))
-    return s

@@ -18,15 +18,61 @@ from freqdispatch import (
     SimState,
     SimulationTrace,
     analytic_dispatch,
-    frequency_deviation,
     step_rk4,
     total_load,
 )
-from freqdispatch.model import marginal_cost
+from freqdispatch.cli import ScenarioFile
 
 # The two-generator reference scenario used throughout: costs
 # 0.5*p^2 + p and p^2 + 2*p, total demand 10, K=1, beta=1.5, tau=1.
 # Its optimum is lambda*=8, p=(7, 3), cost 46.5, and p_init sits there.
+
+
+def cost_value(cost: CostCoefficients, p: float) -> float:
+    """Generation cost a*p**2 + b*p + c ($/h) of one unit at output ``p`` MW."""
+    return cost.a * p * p + cost.b * p + cost.c
+
+
+def marginal_cost(cost: CostCoefficients, p: float) -> float:
+    """Incremental cost 2*a*p + b ($/MWh) of one unit, the derivative of cost_value."""
+    return 2.0 * cost.a * p + cost.b
+
+
+def frequency_deviation(p, d_total: float, beta: float) -> float:
+    """Quasi-static deviation (sum(p) - d_total) / beta, p added left to right from
+    0.0 as Python 3.10 and 3.11's ``sum`` adds it. Surplus raises the frequency."""
+    total = 0.0
+    for x in p:
+        total += float(x)
+    return (total - d_total) / beta
+
+
+def serialize_scenario_file(sf: ScenarioFile) -> str:
+    """The text of a scenario file that parse_scenario_file reads back as ``sf``."""
+    s = sf.scenario
+    payload: dict = {
+        "format_version": sf.format_version,
+        "scenario": {
+            "generators": [  # from the ids and number columns: no generator objects
+                {"id": gen_id, "cost": {"a": a, "b": b, "c": c}, "p_init": p_init}
+                for gen_id, a, b, c, p_init in zip(s._ids, *s.columns.numbers.tolist())
+            ],
+            "loads": list(s.loads),
+            "gain_K": s.gain_K,
+            "beta": s.beta,
+            "tau": s.tau,
+        },
+    }
+    if sf.solver is not None:  # the options that are set
+        payload["solver"] = {name: value for name in ("tol", "max_iter", "alpha", "rho", "lambda0")
+                             if (value := getattr(sf.solver, name)) is not None}
+    if sf.simulation is not None:
+        sim = sf.simulation
+        block = {"controller": sim.controller.value, "h": sim.h, "t_end": sim.t_end,
+                 "events": [{"time": ev.time, "loads": list(ev.loads)} for ev in sim.events]}
+        payload["simulation"] = {key: value for key, value in block.items()
+                                 if value is not None and value != []}
+    return json.dumps(payload, indent=2)
 
 
 def make_scenario(a, b, loads, *, c=None, p_init=None, gain_K=1.0, beta=1.0,

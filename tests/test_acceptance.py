@@ -44,14 +44,14 @@ from freqdispatch import (
     compare_convergence,
     dual_ascent_solve,
     empirical_ratio,
-    marginal_cost,
     mom_contraction_factor,
     mom_solve,
     simulate,
     total_load,
 )
 
-from conftest import economic_start, make_scenario, random_scenarios, reference_scenario
+from conftest import (economic_start, make_scenario, marginal_cost, random_scenarios,
+                      reference_scenario)
 
 SUITE = random_scenarios()
 R = reference_scenario()

@@ -1,6 +1,7 @@
 """Scenario file parsing, CSV serialization, and command-line behaviour."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -26,14 +27,13 @@ from freqdispatch.cli import (
     ScenarioFileError,
     parse_scenario_file,
     run_command,
-    serialize_scenario_file,
     write_trace_csv,
 )
 from freqdispatch.dispatch import IterState, IterationTrace
 from freqdispatch.model import ControllerConfig
 
 from conftest import (economic_start, make_scenario, reference_scenario, reference_simulation_csv,
-                      strict_json)
+                      serialize_scenario_file, strict_json)
 
 REFERENCE_JSON = {
     "format_version": 1,
@@ -523,6 +523,21 @@ def test_cli_binds_the_trace_writer_of_traceio():
     assert cli.write_trace_csv is traceio.write_trace_csv  # the name a tracer wraps in cli
 
 
+def test_every_function_the_benchmark_tracer_binds_exists():
+    # perfbench/tracing.py replaces these by name and fails on a missing one; its
+    # source is executed, not imported, so that nothing is written beside it
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    tracing = {"__name__": "tracing"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
+    bound = [(module, name) for table in ("SPANS", "COUNTED", "MEMORY")
+             for module, names in tracing[table].items() for name in names]
+    assert ("dynamics", "step_rk4") in bound and ("model", "integral_gain") in bound
+    missing = [f"{module}.{name}" for module, name in bound
+               if not callable(getattr(importlib.import_module(f"freqdispatch.{module}"), name,
+                                       None))]
+    assert missing == []
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -634,6 +649,28 @@ def test_cmd_simulate_uses_file_simulation_block(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["final_p"] == pytest.approx([25.0 / 3.0, 11.0 / 3.0], abs=1e-6)
     assert payload["steady_state"]["passed"] is True
+
+
+def test_cmd_simulate_controller_defaults_to_the_file(tmp_path, capsys):
+    # simulation.controller stands in for --controller, which wins over it
+    path = tmp_path / "pi.json"
+    path.write_text(reference_text(simulation={
+        "controller": "pi", "h": 0.01, "t_end": 5.0,
+        "events": [{"time": 1.0, "loads": [7.2, 4.8]}],
+    }))
+    out = {}
+    for flags in ([], ["--controller", "pi"], ["--controller", "integral"]):
+        assert run_command(["simulate", str(path), *flags]) == 0
+        out[" ".join(flags)] = capsys.readouterr().out
+    assert out[""] == out["--controller pi"] != out["--controller integral"]
+    assert json.loads(out["--controller integral"])["controller"] == "integral"
+
+
+def test_cmd_simulate_needs_a_controller_without_a_simulation_block(scenario_file, capsys):
+    assert run_command(["simulate", scenario_file]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: --controller is required when the file has no simulation block\n"
 
 
 def test_cmd_compare(scenario_file, capsys):
@@ -1063,11 +1100,3 @@ def test_commands_build_no_generator_objects(generator_inits, tmp_path, capsys, 
                .scenario.generators) == 200
     assert sorted(set(generator_inits)) == ["CostCoefficients", "Generator"]
     assert len(generator_inits) == 400
-
-
-def test_serialize_builds_no_generator_objects(generator_inits):
-    # the writer reads the ids and number columns, not Scenario.generators
-    sf = parse_scenario_file(Path(FLEET_200).read_text(encoding="utf-8"))
-    text = serialize_scenario_file(sf)
-    assert "generators" not in sf.scenario.__dict__ and generator_inits == []
-    assert parse_scenario_file(text) == sf

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 import freqdispatch.dispatch as dispatch
 from freqdispatch import (
+    EquivalencePair,
     StopReason,
     aggregate_power_slope,
     analytic_dispatch,
     brute_force_dispatch,
+    check_euler_equivalence,
     compare_convergence,
     default_lambda0,
     dual_ascent_solve,
@@ -21,7 +23,6 @@ from freqdispatch import (
     dual_contraction_factor,
     initial_dual_state,
     initial_mom_state,
-    marginal_cost,
     mom_contraction_factor,
     mom_inner_minimize,
     mom_solve,
@@ -30,7 +31,7 @@ from freqdispatch import (
     total_load,
 )
 
-from conftest import make_scenario, random_scenarios
+from conftest import make_scenario, marginal_cost, random_scenarios
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +354,18 @@ def test_mom_inner_minimize_matches_aggregate_closed_form():
             assert abs(x - y) <= 1e-10
 
 
-def test_mom_inner_rejects_negative_rho(scenario_r):
-    with pytest.raises(ValueError):
-        mom_inner_minimize(0.0, scenario_r, -0.1)
+@pytest.mark.parametrize("rho, message", [
+    (-0.1, "rho must be >= 0"),
+    (math.nan, "rho must be finite"),
+    (math.inf, "rho must be finite"),
+])
+def test_mom_inner_rejects_negative_rho(scenario_r, rho, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mom_inner_minimize(0.0, scenario_r, rho)
+
+
+def test_mom_inner_minimize_at_zero_rho_is_the_dual_map(scenario_r):
+    assert mom_inner_minimize(4.0, scenario_r, 0.0) == (3.0, 1.0)  # (lam - b) / (2a)
 
 
 def test_mom_step_examples(scenario_r):
@@ -437,6 +447,11 @@ _SOLVER_GUARDS = {
     "mom-step-negative": (lambda s: mom_step(initial_mom_state(s, 0.5), s, -1.0),
                           "rho must be > 0"),
     "compare-rho-zero": (lambda s: compare_convergence(s, 0.5, 0.0), "alpha and rho must be > 0"),
+    # the equivalence check takes its start price by the same rule
+    "equivalence-lambda0-nan": (lambda s: check_euler_equivalence(
+        s, EquivalencePair.DUAL_VS_INTEGRAL, 10, math.nan), "lambda0 must be finite"),
+    "equivalence-lambda0-inf": (lambda s: check_euler_equivalence(
+        s, EquivalencePair.MOM_VS_PI, 10, math.inf), "lambda0 must be finite"),
 }
 
 

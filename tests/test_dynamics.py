@@ -14,9 +14,7 @@ from freqdispatch import (
     QuasiStatic,
     SimState,
     SimulationTrace,
-    frequency_deviation,
     integral_rhs,
-    marginal_cost,
     pi_rhs,
     settling_time,
     simulate,
@@ -26,7 +24,8 @@ from freqdispatch import (
 from freqdispatch import dynamics
 from freqdispatch.cli import ScenarioFileError, parse_scenario_file
 
-from conftest import make_scenario, reference_scenario, rk4_trace
+from conftest import (frequency_deviation, make_scenario, marginal_cost, reference_scenario,
+                      rk4_trace)
 
 INTEGRAL = ControllerKind.INTEGRAL
 PI = ControllerKind.PROPORTIONAL_INTEGRAL
@@ -43,16 +42,16 @@ def _qs_state(p, s, t=0.0):
 # ---------------------------------------------------------------------------
 # frequency deviation
 
-def test_frequency_deviation_examples():
-    assert frequency_deviation((7.0, 3.0), 10.0, 10.0) == 0.0
-    assert frequency_deviation((3.0, 1.0), 10.0, 10.0) == pytest.approx(-0.6, abs=1e-15)
-    assert frequency_deviation((12.0, 0.0), 10.0, 5.0) == pytest.approx(0.4, abs=1e-15)
-
-
-def test_frequency_deviation_rejects_nonpositive_beta():
-    for beta in (0.0, -1.5, math.nan, math.inf):  # inf would read -0.0 Hz for any imbalance
-        with pytest.raises(ValueError, match="beta must be finite and > 0"):
-            frequency_deviation((4.0, 1.0), 10.0, beta)
+@pytest.mark.parametrize("p_init, load, beta, expected", [
+    ((7.0, 3.0), 10.0, 10.0, 0.0),
+    ((3.0, 1.0), 10.0, 10.0, -0.6),
+    ((12.0, 0.0), 10.0, 5.0, 0.4),  # surplus generation raises the frequency
+])
+def test_frequency_deviation_examples(p_init, load, beta, expected):
+    # the first sample's quasi-static deviation, (sum(p) - D) / beta
+    s = make_scenario([0.5, 1.0], [1.0, 2.0], [load], p_init=p_init, beta=beta)
+    trace = simulate(s, _cfg(INTEGRAL, s), h=0.1, t_end=1.0)
+    assert trace.delta_f[0] == pytest.approx(expected, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +170,17 @@ def test_rk4_fourth_order_richardson():
     assert 12.0 <= ratio <= 20.0, f"halving h changed error by {ratio:.2f}x, expected ~16x"
 
 
-def test_stepper_guards(scenario_r):
+@pytest.mark.parametrize("stepper", [step_euler, step_rk4])
+@pytest.mark.parametrize("h, message", [
+    (0.0, "h must be > 0"),
+    (-1.0, "h must be > 0"),
+    (math.nan, "h must be finite"),
+    (math.inf, "h must be finite"),
+])
+def test_stepper_guards(scenario_r, stepper, h, message):
     state = _qs_state((3.0, 1.0), scenario_r)
-    with pytest.raises(ValueError):
-        step_euler(integral_rhs, state, scenario_r, _cfg(INTEGRAL, scenario_r), h=0.0)
-    with pytest.raises(ValueError):
-        step_rk4(integral_rhs, state, scenario_r, _cfg(INTEGRAL, scenario_r), h=-1.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        stepper(integral_rhs, state, scenario_r, _cfg(INTEGRAL, scenario_r), h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +364,8 @@ def test_exact_method_requires_quasi_static(scenario_r):
     (Inertial(1.0, -5.0), "d_damp must be finite and >= 0"),
     (Inertial(1.0, math.nan), "d_damp must be finite and >= 0"),
     (Inertial(1.0, math.inf), "d_damp must be finite and >= 0"),
+    (QuasiStatic(0.0), "beta must be finite and > 0"),
+    (QuasiStatic(-1.5), "beta must be finite and > 0"),
     (QuasiStatic(math.nan), "beta must be finite and > 0"),
     (QuasiStatic(math.inf), "beta must be finite and > 0"),  # an open loop, not a balanced one
 ])

@@ -9,15 +9,17 @@ from freqdispatch import (
     CostCoefficients,
     Generator,
     Scenario,
-    cost_value,
-    ensure_valid,
     integral_gain,
-    marginal_cost,
     total_load,
     validate_scenario,
 )
+from freqdispatch.model import Columns
 
-from conftest import make_scenario, reference_scenario
+from conftest import cost_value, make_scenario, marginal_cost, reference_scenario
+
+
+def _unit(a, b, c=0.0) -> Columns:
+    return Columns.of([a], [b], [c], [0.0])
 
 
 @pytest.mark.parametrize("a,b,c,p,expected", [
@@ -25,8 +27,8 @@ from conftest import make_scenario, reference_scenario
     (1.0, 2.0, 0.0, 0.0, 0.0),
     (1.0, 2.0, 5.0, 3.0, 20.0),
 ])
-def test_cost_value(a, b, c, p, expected):
-    assert cost_value(CostCoefficients(a, b, c), p) == expected
+def test_total_cost(a, b, c, p, expected):
+    assert _unit(a, b, c).total_cost(np.array([p])) == expected
 
 
 @pytest.mark.parametrize("a,b,p,expected", [
@@ -34,8 +36,8 @@ def test_cost_value(a, b, c, p, expected):
     (1.0, 2.0, 0.0, 2.0),
     (1.0, 2.0, 3.0, 8.0),
 ])
-def test_marginal_cost(a, b, p, expected):
-    assert marginal_cost(CostCoefficients(a, b), p) == expected
+def test_marginal(a, b, p, expected):
+    assert _unit(a, b).marginal(np.array([p])).tolist() == [expected]
 
 
 @pytest.mark.parametrize("a,k,tau,expected", [
@@ -47,16 +49,30 @@ def test_integral_gain(a, k, tau, expected):
     assert integral_gain(CostCoefficients(a, 0.0), k, tau) == expected
 
 
-def test_marginal_cost_is_derivative_of_cost_value():
+def test_marginal_is_derivative_of_total_cost():
     rng = np.random.default_rng(3)
     h = 1e-4
     for _ in range(50):
-        cost = CostCoefficients(a=float(rng.uniform(0.1, 5.0)),
-                                b=float(rng.uniform(-20.0, 20.0)),
-                                c=float(rng.uniform(-10.0, 10.0)))
-        p = float(rng.uniform(-50.0, 50.0))
-        central = (cost_value(cost, p + h) - cost_value(cost, p - h)) / (2.0 * h)
-        assert abs(central - marginal_cost(cost, p)) <= 1e-6, (cost, p)
+        a, b, c = rng.uniform(0.1, 5.0), rng.uniform(-20.0, 20.0), rng.uniform(-10.0, 10.0)
+        cost, p = _unit(a, b, c).total_cost, rng.uniform(-50.0, 50.0)
+        central = (cost(np.array([p + h])) - cost(np.array([p - h]))) / (2.0 * h)
+        assert abs(central - _unit(a, b, c).marginal(np.array([p]))[0]) <= 1e-6, (a, b, c, p)
+
+
+def test_cost_columns_are_the_scalar_costs_bit_for_bit():
+    # elementwise the scalar cost algebra, and its total added left to right
+    rng = np.random.default_rng(4)
+    for n in (1, 3, 80):  # 80 units: a row that _row_sum adds by np.add.accumulate
+        costs = [CostCoefficients(*rng.uniform([0.1, -20.0, -10.0], [5.0, 20.0, 10.0]).tolist())
+                 for _ in range(n)]
+        cols = Columns.of(*zip(*[(c.a, c.b, c.c, 0.0) for c in costs]))
+        p = rng.uniform(-50.0, 50.0, n)
+        want = 0.0
+        for cost, x in zip(costs, p.tolist()):
+            want += cost_value(cost, x)
+        assert cols.total_cost(p) == want
+        assert cols.marginal(p).tolist() == [marginal_cost(c, x)
+                                             for c, x in zip(costs, p.tolist())]
 
 
 def test_integral_gain_positive_and_decreasing_in_a():
@@ -75,7 +91,6 @@ def test_total_load():
 def test_validate_accepts_reference_scenario():
     s = reference_scenario()
     assert validate_scenario(s) == []
-    assert ensure_valid(s) is s
 
 
 def test_validate_reports_nonpositive_a():
@@ -184,14 +199,6 @@ def test_an_invalid_slope_builds_its_columns_without_a_warning():
         f"generators[{i}].cost.a" for i in range(6)]
     s = make_scenario([2.8e-309] * 2, [0.0] * 2, [10.0])  # each w finite, S past the float range
     assert s.columns.slope == math.inf
-
-
-def test_ensure_valid_raises_with_itemized_message():
-    s = make_scenario([0.0], [1.0], [10.0], beta=-1.0)
-    with pytest.raises(ValueError) as err:
-        ensure_valid(s)
-    assert "a must be > 0 for generator 1" in str(err.value)
-    assert "beta" in str(err.value)
 
 
 def test_scenario_collections_are_tuples():

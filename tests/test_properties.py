@@ -47,7 +47,6 @@ from freqdispatch import (
     compare_convergence,
     dual_ascent_solve,
     dual_ascent_step,
-    frequency_deviation,
     initial_dual_state,
     initial_mom_state,
     integral_rhs,
@@ -69,14 +68,14 @@ from freqdispatch.cli import (
     SolverOptions,
     parse_scenario_file,
     run_command,
-    serialize_scenario_file,
     write_trace_csv,
 )
 from freqdispatch.dynamics import MAX_TRACE_CELLS
 from freqdispatch.model import Columns, Violation
 
 from conftest import (economic_start, make_scenario, neumaier_sum, reference_scenario,
-                      reference_simulation_csv, rk4_trace, strict_json)
+                      reference_simulation_csv, rk4_trace, serialize_scenario_file,
+                      strict_json)
 
 INTEGRAL = ControllerKind.INTEGRAL
 PI = ControllerKind.PROPORTIONAL_INTEGRAL
@@ -325,8 +324,8 @@ def test_row_sum_is_python_3_11s_sum_bit_for_bit(row):
 def test_row_sum_callers_overflow_without_a_warning(n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert frequency_deviation([1e308] * n, 0.0, 1.0) == math.inf
-        assert math.isnan(frequency_deviation([math.inf, -math.inf] * (n // 2), 0.0, 1.0))
+        assert model._row_sum(np.full(n, 1e308)) == math.inf
+        assert math.isnan(model._row_sum(np.array([math.inf, -math.inf] * (n // 2))))
         assert total_load(make_scenario([1.0], [0.0], [-1e308] * n)) == -math.inf
 
 
@@ -334,7 +333,7 @@ def test_row_sum_callers_add_left_to_right_under_a_compensated_sum(monkeypatch):
     # ten 0.1s add up to 0.9999999999999999 left to right and to 1.0 compensated
     monkeypatch.setattr(builtins, "sum", neumaier_sum)
     tenths, near_one = [0.1] * 10, [0.9999999999999999] + [0.0] * 9
-    assert frequency_deviation(tenths, 0.0, 1.0) == 0.9999999999999999
+    assert model._row_sum(np.array(tenths)) == 0.9999999999999999
     assert total_load(make_scenario([1.0], [0.0], tenths)) == 0.9999999999999999
     s = make_scenario([1.0] * 10, [0.0] * 10, [0.0] * 10)
     cfg = ControllerConfig(INTEGRAL, s.gain_K, s.tau)
@@ -778,7 +777,8 @@ def block_traces(draw):
         s = economic_start(s)
     simulation = draw(st.booleans())
     step = max(1, traceio._CSV_BLOCK_CELLS // (2 * n + 2 if simulation else n + 4))
-    rows = draw(st.integers(0, 1)) * step + draw(st.integers(2, step + 1))
+    # a simulation samples t_end / h + 1 > 2 rows
+    rows = draw(st.integers(0, 1)) * step + draw(st.integers(3 if simulation else 2, step + 1))
     if simulation:
         h = s.tau * draw(st.floats(0.01, 1.0))
         cfg = ControllerConfig(draw(st.sampled_from([INTEGRAL, PI])), s.gain_K, s.tau)

@@ -20,7 +20,6 @@ from freqdispatch import (
     check_euler_equivalence,
     compare_convergence,
     dual_ascent_solve,
-    frequency_deviation,
     integral_gain,
     integral_rhs,
     mom_inner_minimize,
@@ -32,9 +31,15 @@ from freqdispatch import (
     sweep,
     total_load,
 )
-from freqdispatch.cli import ScenarioFile, SimulationOptions, run_command, serialize_scenario_file
+from freqdispatch.cli import ScenarioFile, SimulationOptions, run_command
 
-from conftest import economic_start, make_scenario, reference_scenario
+from conftest import (
+    economic_start,
+    frequency_deviation,
+    make_scenario,
+    reference_scenario,
+    serialize_scenario_file,
+)
 
 INTEGRAL = ControllerKind.INTEGRAL
 PI = ControllerKind.PROPORTIONAL_INTEGRAL
@@ -148,7 +153,8 @@ def test_solvers_build_no_states_unless_read(monkeypatch, tmp_path, capsys):
 def test_simulate_command_builds_columns_once(monkeypatch, tmp_path, capsys, controller):
     # The steady-state check at the final load reads the run's columns.
     s = economic_start(make_scenario([0.5, 1.0, 2.0], [1.0, 2.0, 3.0], [6.0, 4.0], beta=1.5))
-    sim = SimulationOptions(h=0.05, t_end=40.0, events=(dynamics.LoadEvent(1.0, (7.2, 4.8)),))
+    sim = SimulationOptions(INTEGRAL, h=0.05, t_end=40.0,
+                            events=(dynamics.LoadEvent(1.0, (7.2, 4.8)),))
     path = tmp_path / "s.json"
     path.write_text(serialize_scenario_file(ScenarioFile(1, s, simulation=sim)))
     builds = _count_column_builds(monkeypatch)
